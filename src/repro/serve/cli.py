@@ -29,13 +29,19 @@ import signal
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cli import _print_error, add_version_argument
 from repro.core.interface import ENGINES
 from repro.exceptions import ReproError
 from repro.serve.admission import DEFAULT_MAX_INFLIGHT
-from repro.serve.app import DEFAULT_DEADLINE_SECONDS, ImageService, ReproServer
+from repro.serve.app import (
+    DEFAULT_DEADLINE_SECONDS,
+    ImageService,
+    ReproServer,
+    ServerCore,
+    ServiceCore,
+)
 from repro.serve.health import HealthProber
 from repro.store.cache import DEFAULT_CACHE_BYTES, DEFAULT_ENCODED_CACHE_BYTES
 from repro.store.store import ImageStore
@@ -275,21 +281,17 @@ def open_shards(
     use_mmap: bool = False,
 ) -> List[ImageStore]:
     """Open ``shards`` stores under ``root`` with the standard shard layout."""
-    stores: List[ImageStore] = []
-    for index in range(shards):
-        name = "shard-%02d" % index
-        path = root / (name + ".sqlite") if backend == "sqlite" else root / name
-        stores.append(
-            ImageStore.open(
-                path,
-                use_mmap=use_mmap,
-                cache_bytes=cache_bytes,
-                engine=engine,
-                cache_admission=admission,
-                encoded_cache_bytes=encoded_cache_bytes,
-            )
+    return [
+        ImageStore.open(
+            path,
+            use_mmap=use_mmap,
+            cache_bytes=cache_bytes,
+            engine=engine,
+            cache_admission=admission,
+            encoded_cache_bytes=encoded_cache_bytes,
         )
-    return stores
+        for path in shard_paths(root, shards, backend)
+    ]
 
 
 def shard_paths(root: Path, shards: int, backend: str) -> List[Path]:
@@ -301,7 +303,27 @@ def shard_paths(root: Path, shards: int, backend: str) -> List[Path]:
     return paths
 
 
-async def _serve_proc(args, root: Path) -> int:
+def _front_end_options(args) -> Dict[str, Any]:
+    """The front-end parameters both topologies' services take."""
+    return dict(
+        max_workers=args.workers,
+        max_inflight=args.max_inflight,
+        shed_low=args.shed_low,
+        retry_after=args.retry_after,
+        max_connections_per_client=args.max_client_connections,
+        client_rate=args.client_rate,
+        client_burst=args.client_burst,
+        default_deadline=args.deadline,
+        read_timeout=args.read_timeout if args.read_timeout > 0 else None,
+        idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
+        drain_budget=args.drain_budget,
+        replication=args.replication,
+        health_down_after=args.health_down_after,
+        health_up_after=args.health_up_after,
+    )
+
+
+def _boot_proc(args, root: Path) -> Tuple[ServiceCore[Any], ServerCore[Any]]:
     """The multi-process topology: shard workers behind a routing proxy."""
     from repro.serve.proxy import ProxyService, ReproProxy
     from repro.serve.worker import WorkerSpec, WorkerSupervisor
@@ -328,82 +350,12 @@ async def _serve_proc(args, root: Path) -> int:
     supervisor = WorkerSupervisor(
         specs, workers_per_shard=args.workers_per_shard
     ).start()
-    service = ProxyService(
-        supervisor,
-        replication=args.replication,
-        engine=args.engine,
-        max_workers=args.workers,
-        max_inflight=args.max_inflight,
-        shed_low=args.shed_low,
-        retry_after=args.retry_after,
-        max_connections_per_client=args.max_client_connections,
-        client_rate=args.client_rate,
-        client_burst=args.client_burst,
-        default_deadline=args.deadline,
-        read_timeout=args.read_timeout if args.read_timeout > 0 else None,
-        idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
-        drain_budget=args.drain_budget,
-        health_down_after=args.health_down_after,
-        health_up_after=args.health_up_after,
-    )
-    proxy = ReproProxy(service, args.host, args.port)
-    loop = asyncio.get_running_loop()
-    sigterm = asyncio.Event()
-    try:
-        loop.add_signal_handler(signal.SIGTERM, sigterm.set)
-    except (NotImplementedError, RuntimeError):  # pragma: no cover - non-POSIX
-        pass
-    try:
-        await proxy.start()
-        print(
-            "repro-serve: listening on http://%s:%d (%d shard(s), %s backend)"
-            % (args.host, proxy.port, args.shards, args.backend),
-            flush=True,
-        )
-        print(
-            "repro-serve: proxy over %d worker process(es) (%d per shard)"
-            % (args.shards * args.workers_per_shard, args.workers_per_shard),
-            file=sys.stderr,
-            flush=True,
-        )
-        print("repro-serve: shards under %s" % root, file=sys.stderr, flush=True)
-        serving = asyncio.ensure_future(proxy.serve_forever())
-        waiting = asyncio.ensure_future(sigterm.wait())
-        await asyncio.wait({serving, waiting}, return_when=asyncio.FIRST_COMPLETED)
-        if sigterm.is_set():
-            print(
-                "repro-serve: SIGTERM, draining proxy then workers "
-                "(budget %.1fs)" % service.drain_budget,
-                file=sys.stderr,
-                flush=True,
-            )
-            drained = await proxy.drain()
-            print(
-                "repro-serve: drained %s"
-                % ("cleanly" if drained else "with requests still in flight"),
-                file=sys.stderr,
-                flush=True,
-            )
-        for task in (serving, waiting):
-            task.cancel()
-        await asyncio.gather(serving, waiting, return_exceptions=True)
-    except asyncio.CancelledError:  # pragma: no cover - cancellation race
-        pass
-    finally:
-        try:
-            loop.remove_signal_handler(signal.SIGTERM)
-        except (NotImplementedError, RuntimeError, ValueError):  # pragma: no cover
-            pass
-        await proxy.stop()
-        # close() ends with the worker SIGTERM cascade: each worker drains
-        # its own in-flight work within its --drain-budget before exiting.
-        service.close()
-    return 0
+    service = ProxyService(supervisor, **_front_end_options(args))
+    return service, ReproProxy(service, args.host, args.port)
 
 
-async def _serve(args, root: Path) -> int:
-    if args.topology == "proc":
-        return await _serve_proc(args, root)
+def _boot_thread(args, root: Path) -> Tuple[ServiceCore[Any], ServerCore[Any]]:
+    """The in-process topology, optionally resharding onto its last shard."""
     stores = open_shards(
         root,
         args.shards,
@@ -414,38 +366,14 @@ async def _serve(args, root: Path) -> int:
         encoded_cache_bytes=args.encoded_cache_bytes,
         use_mmap=args.mmap,
     )
-    joining_store = None
-    joining_name = None
-    if args.reshard:
-        # The highest-numbered shard is the one joining: boot the service
-        # over the old membership and add it through the live-reshard path
-        # so reads consult both owner sets while keys migrate.
-        joining_store = stores.pop()
+    # The highest-numbered shard is the one joining: boot the service
+    # over the old membership and add it through the live-reshard path so
+    # reads consult both owner sets while keys migrate.
+    joining = stores.pop() if args.reshard else None
+    service = ImageService(stores, **_front_end_options(args))
+    if joining is not None:
         joining_name = "shard-%02d" % (args.shards - 1)
-    service = ImageService(
-        stores,
-        max_workers=args.workers,
-        max_inflight=args.max_inflight,
-        shed_low=args.shed_low,
-        retry_after=args.retry_after,
-        max_connections_per_client=args.max_client_connections,
-        client_rate=args.client_rate,
-        client_burst=args.client_burst,
-        default_deadline=args.deadline,
-        read_timeout=args.read_timeout if args.read_timeout > 0 else None,
-        idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
-        drain_budget=args.drain_budget,
-        replication=args.replication,
-        health_down_after=args.health_down_after,
-        health_up_after=args.health_up_after,
-    )
-    prober = None
-    if args.health_interval > 0:
-        prober = HealthProber(
-            service.router, service.health, interval=args.health_interval
-        ).start()
-    if joining_store is not None:
-        resharder = service.begin_reshard(joining_store, joining_name)
+        resharder = service.begin_reshard(joining, joining_name)
         moved = len(resharder.moved_keys())
         resharder.start()
         print(
@@ -454,7 +382,17 @@ async def _serve(args, root: Path) -> int:
             file=sys.stderr,
             flush=True,
         )
-    server = ReproServer(service, args.host, args.port)
+    return service, ReproServer(service, args.host, args.port)
+
+
+async def _serve(args, root: Path) -> int:
+    proc = args.topology == "proc"
+    service, server = (_boot_proc if proc else _boot_thread)(args, root)
+    prober = None
+    if args.health_interval > 0:
+        prober = HealthProber(
+            service.router, service.health, interval=args.health_interval
+        ).start()
     loop = asyncio.get_running_loop()
     sigterm = asyncio.Event()
     try:
@@ -468,14 +406,21 @@ async def _serve(args, root: Path) -> int:
             % (args.host, server.port, args.shards, args.backend),
             flush=True,
         )
+        if proc:
+            print(
+                "repro-serve: proxy over %d worker process(es) (%d per shard)"
+                % (args.shards * args.workers_per_shard, args.workers_per_shard),
+                file=sys.stderr,
+                flush=True,
+            )
         print("repro-serve: shards under %s" % root, file=sys.stderr, flush=True)
         serving = asyncio.ensure_future(server.serve_forever())
         waiting = asyncio.ensure_future(sigterm.wait())
         await asyncio.wait({serving, waiting}, return_when=asyncio.FIRST_COMPLETED)
         if sigterm.is_set():
             print(
-                "repro-serve: SIGTERM, draining (budget %.1fs)"
-                % service.drain_budget,
+                "repro-serve: SIGTERM, draining%s (budget %.1fs)"
+                % (" proxy then workers" if proc else "", service.drain_budget),
                 file=sys.stderr,
                 flush=True,
             )
@@ -499,6 +444,8 @@ async def _serve(args, root: Path) -> int:
         if prober is not None:
             prober.stop()
         await server.stop()
+        # Under proc, close() ends with the worker SIGTERM cascade: each
+        # worker drains its own in-flight work within its --drain-budget.
         service.close()
     return 0
 

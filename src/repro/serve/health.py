@@ -15,9 +15,10 @@ as a last resort.  Two cooperating pieces provide the belief:
     flapping one.
 
 :class:`HealthProber`
-    A daemon thread that issues a cheap backend probe
-    (``backend.contains``) against every shard on an interval and feeds
-    the tracker.  Probes run under their own
+    A daemon thread that issues a cheap probe against every shard on an
+    interval and feeds the tracker — ``backend.contains`` on a local
+    store, ``GET /healthz`` on a remote shard's workers, so one prober
+    serves both topologies.  Probes run under their own
     :class:`~repro.serve.deadline.RequestContext` with a short deadline,
     so a *stalled* backend (the chaos harness's favourite fault) fails
     the probe instead of wedging the prober thread — the same
@@ -35,11 +36,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.exceptions import ConfigError, StoreError
 from repro.serve.deadline import Deadline, RequestContext, bind_context
 from repro.serve.router import StoreRouter
+from repro.store.store import ImageStore
 
 __all__ = ["HealthProber", "HealthTracker", "ShardHealth"]
 
@@ -173,6 +175,18 @@ class HealthTracker:
             return {name: entry.as_json() for name, entry in self._shards.items()}
 
 
+def _probe(shard: Any, timeout: float) -> None:
+    """Raise unless ``shard`` answers one cheap data-path probe.
+
+    A local store is asked ``backend.contains(PROBE_KEY)``; a remote
+    shard (a worker group behind the proxy) brings its own ``probe``.
+    """
+    if isinstance(shard, ImageStore):
+        shard.backend.contains(PROBE_KEY)
+    else:
+        shard.probe(timeout)
+
+
 class HealthProber:
     """Background prober feeding a :class:`HealthTracker` from real I/O.
 
@@ -186,7 +200,7 @@ class HealthProber:
 
     def __init__(
         self,
-        router: StoreRouter,
+        router: StoreRouter[Any],
         tracker: HealthTracker,
         interval: float = 2.0,
         timeout: float = 1.0,
@@ -214,7 +228,7 @@ class HealthProber:
             context = RequestContext(Deadline(self.timeout), endpoint="probe")
             bind_context(context)
             try:
-                store.backend.contains(PROBE_KEY)
+                _probe(store, self.timeout)
                 ok = not context.deadline.expired
             except StoreError:
                 ok = False

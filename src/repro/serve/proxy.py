@@ -1,25 +1,23 @@
 """The routing proxy of the multi-process topology (``--topology proc``).
 
 :class:`ReproProxy` is the public face of a fleet of shard worker
-processes (:mod:`repro.serve.worker`).  It subclasses
-:class:`~repro.serve.app.ReproServer` and overrides only the data-plane
+processes (:mod:`repro.serve.worker`).  It is a
+:class:`~repro.serve.app.ServerCore` like the in-process
+:class:`~repro.serve.app.ReproServer` and adds only the data-plane
 ``_handle_*`` methods — the route table, the 404/405 derivation, the
-error envelope, admission control, deadlines, streaming framing and the
-drain sequence are all inherited, so the two topologies cannot drift
-apart request by request.
+error envelope, admission control, deadlines, streaming framing, the
+drain sequence and the control-plane routes are shared, so the two
+topologies cannot drift apart request by request.
 
-Placement reuses the exact machinery of the in-process tier:
-:class:`~repro.serve.router.StoreRouter` ranks owner shards per key
-(rendezvous hashing, union membership mid-reshard) and
-:class:`~repro.serve.health.HealthTracker` reorders them by believed
-health — except the "stores" are :class:`RemoteShard` handles that speak
-HTTP over loopback instead of decoding locally.  Reads fail over
-shard-by-shard exactly like :meth:`ImageService._read_replicas` (404
-only when *every* owner missed, a store failure outranks a 404), and
-within one shard a keyed request prefers its affinity worker — the same
-worker every time for a given key, so worker-local caches and
-single-flight coalescing keep working — before trying the shard's other
-workers.
+Placement and failover reuse the exact machinery of the in-process tier:
+:class:`~repro.serve.router.StoreRouter` ranks owner shards per key and
+the :class:`~repro.serve.replicas.ReplicaSet` walk decides failover,
+fan-out and health — except the shards are :class:`RemoteShard` handles
+that speak HTTP over loopback, and a worker's reply is classed by its
+status code.  Within one shard a keyed request prefers its affinity
+worker — the same worker every time for a given key, so worker-local
+caches and single-flight coalescing keep working — before trying the
+shard's other workers.
 
 What the proxy forwards it forwards **verbatim**: a worker's error
 envelope (with the worker's ``request_id``) and its response bytes pass
@@ -37,14 +35,18 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import io
 import json
 import math
 from collections import deque
+from dataclasses import dataclass
 from typing import (
+    Any,
     AsyncIterator,
+    Awaitable,
+    Callable,
     Deque,
     Dict,
+    Iterator,
     List,
     Optional,
     Tuple,
@@ -53,42 +55,24 @@ from typing import (
 )
 from urllib.parse import quote
 
-from concurrent.futures import ThreadPoolExecutor
-
-from repro.core.cellgrid import encode_grid
-from repro.core.config import CodecConfig
 from repro.exceptions import (
-    ConfigError,
     DeadlineExceededError,
     ServeError,
     StoreError,
 )
-from repro.imaging.pnm import read_image
-from repro.serve.admission import (
-    DEFAULT_MAX_INFLIGHT,
-    AdmissionController,
-    ClientLimiter,
-)
 from repro.serve.app import (
-    DEFAULT_DEADLINE_SECONDS,
-    ImageService,
-    ReproServer,
+    ServerCore,
     ServerHandle,
+    ServiceCore,
     StreamingBody,
-    _NETPBM_MAGICS,
     start_server_thread,
 )
 from repro.serve.client import ServeClient
 from repro.serve.deadline import RequestContext
-from repro.serve.flight import SingleFlight
-from repro.serve.health import HealthTracker
 from repro.serve.http import HttpRequest, json_payload
-from repro.serve.router import StoreRouter
-from repro.serve.routes import version_payload
-from repro.serve.stats import ServerStats
+from repro.serve.replicas import ReplicaWalk
 from repro.serve.worker import WorkerGroup, WorkerProcess, WorkerSupervisor
 from repro.store.catalog import CatalogFilter
-from repro.store.store import ImageStore
 
 __all__ = [
     "ProxyService",
@@ -97,6 +81,11 @@ __all__ = [
     "WorkerUnreachableError",
     "start_proxy_thread",
 ]
+
+#: Failures of one worker connection: a pooled socket may be stale.
+_TRANSPORT_ERRORS = (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError)
+#: Failures of one worker attempt that a sibling worker may not share.
+_ATTEMPT_ERRORS = (StoreError,) + _TRANSPORT_ERRORS
 
 
 class WorkerUnreachableError(StoreError):
@@ -109,15 +98,18 @@ class WorkerUnreachableError(StoreError):
     """
 
 
+@dataclass
 class WorkerReply:
-    """One buffered worker response: status + headers + verbatim body."""
+    """One worker response: status + headers + verbatim body.
 
-    __slots__ = ("status", "headers", "body")
+    ``chunks`` is set only for a streamed (chunked) 2xx answer: the
+    de-framed payloads, read lazily.  Every other reply is buffered.
+    """
 
-    def __init__(self, status: int, headers: Dict[str, str], body: bytes) -> None:
-        self.status = status
-        self.headers = headers
-        self.body = body
+    status: int
+    headers: Dict[str, str]
+    body: bytes = b""
+    chunks: Optional[AsyncIterator[bytes]] = None
 
     @property
     def content_type(self) -> str:
@@ -187,12 +179,11 @@ async def _read_chunk(reader: asyncio.StreamReader) -> Optional[bytes]:
 class RemoteShard:
     """One shard's worker group, spoken to over loopback HTTP.
 
-    Duck-types just enough of :class:`~repro.store.store.ImageStore` for
-    :class:`~repro.serve.router.StoreRouter` to rank it (routing only
-    ever touches shard *names*) and close it.  Keep-alive connections
-    are pooled per worker and tagged with the worker's spawn generation,
-    so a restarted worker's stale sockets are discarded instead of
-    retried.
+    Satisfies the :class:`~repro.serve.router.Shard` surface routing
+    needs (a name-ranked handle with an engine that closes) plus the
+    health probe.  Keep-alive connections are pooled per worker and
+    tagged with the worker's spawn generation, so a restarted worker's
+    stale sockets are discarded instead of retried.
     """
 
     def __init__(
@@ -212,16 +203,22 @@ class RemoteShard:
     def name(self) -> str:
         return self.group.shard_name
 
-    # -- ImageStore surface the router touches ------------------------- #
-
-    def stats(self) -> Dict[str, object]:  # pragma: no cover - stats overridden
-        return {}
+    @property
+    def engine(self) -> str:
+        return self.group.spec.engine
 
     def close(self) -> None:
         for pool in self._pools.values():
             while pool:
                 _, _, writer = pool.popleft()
                 _close_writer(writer)
+
+    def probe(self, timeout: float) -> None:
+        """Raise unless some live worker of the shard answers ``/healthz``."""
+        if next(_ask_workers(self.group, ServeClient.healthz, timeout), None) is None:
+            raise WorkerUnreachableError(
+                "no worker of shard %s answered the health probe" % self.name
+            )
 
     # -- connection pool ------------------------------------------------ #
 
@@ -274,14 +271,23 @@ class RemoteShard:
             return []
         return [("x-deadline-ms", "%d" % max(1, int(remaining * 1000)))]
 
-    async def _request_worker(
+    async def _exchange(
         self,
         worker: WorkerProcess,
         method: str,
         target: str,
         body: bytes,
         context: Optional[RequestContext],
+        stream: bool,
     ) -> WorkerReply:
+        """One request/response on one worker connection.
+
+        The head is read eagerly.  A chunked 2xx answer to a ``stream``
+        request keeps its body on the wire as :attr:`WorkerReply.chunks`;
+        any other body is read here — a buffered reply is a streamed one
+        joined — so error envelopes forward verbatim and failover can
+        keep trying.
+        """
         payload = _render_request(method, target, body, self._forward_headers(context))
         for pooled in (True, False):
             conn = self._checkout(worker) if pooled else None
@@ -296,8 +302,12 @@ class RemoteShard:
                 writer.write(payload)
                 await writer.drain()
                 status, headers = await _read_head(reader)
+                chunked = headers.get("transfer-encoding", "").lower() == "chunked"
+                if stream and chunked and status < 300:
+                    pieces = self._stream_pieces(worker, generation, reader, writer)
+                    return WorkerReply(status, headers, chunks=pieces)
                 reply_body = await _read_body(reader, headers)
-            except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError):
+            except _TRANSPORT_ERRORS:
                 _close_writer(writer)
                 if conn is not None:
                     continue  # a stale pooled socket; retry on a fresh one
@@ -309,6 +319,30 @@ class RemoteShard:
             return WorkerReply(status, headers, reply_body)
         raise ConnectionError("worker %s has no usable connection" % worker.label)
 
+    async def _attempt(
+        self,
+        worker: WorkerProcess,
+        method: str,
+        target: str,
+        body: bytes,
+        context: Optional[RequestContext],
+        stream: bool = False,
+    ) -> WorkerReply:
+        """One exchange bounded by the worker timeout and the request deadline."""
+        budget = self._attempt_budget(context)
+        try:
+            return await asyncio.wait_for(
+                self._exchange(worker, method, target, body, context, stream), budget
+            )
+        except asyncio.TimeoutError:
+            if context is not None and context.deadline.expired:
+                raise DeadlineExceededError(
+                    "worker call ran past the request deadline"
+                ) from None
+            raise StoreError(
+                "worker %s did not answer within %.1fs" % (worker.label, budget)
+            ) from None
+
     async def request(
         self,
         method: str,
@@ -316,6 +350,8 @@ class RemoteShard:
         body: bytes = b"",
         context: Optional[RequestContext] = None,
         key: Optional[str] = None,
+        stream: bool = False,
+        every_worker: bool = False,
     ) -> WorkerReply:
         """One request against this shard, failing over across its workers.
 
@@ -324,168 +360,32 @@ class RemoteShard:
         everything else — including worker-side 4xx/500 envelopes — is
         the shard's answer.  Raises :class:`WorkerUnreachableError` when
         no worker produced an answer at all.
-        """
-        last_error: Optional[BaseException] = None
-        retryable: Optional[WorkerReply] = None
-        for worker in self.group.candidates(key):
-            budget = self._attempt_budget(context)
-            try:
-                reply = await asyncio.wait_for(
-                    self._request_worker(worker, method, target, body, context),
-                    budget,
-                )
-            except asyncio.TimeoutError:
-                if context is not None and context.deadline.expired:
-                    raise DeadlineExceededError(
-                        "worker call ran past the request deadline"
-                    ) from None
-                last_error = StoreError(
-                    "worker %s did not answer within %.1fs" % (worker.label, budget)
-                )
-                continue
-            except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError) as error:
-                last_error = error
-                continue
-            if reply.status in (429, 503):
-                retryable = reply
-                continue
-            return reply
-        if retryable is not None:
-            return retryable
-        raise WorkerUnreachableError(
-            "no worker of shard %s answered %s %s (%s)"
-            % (self.name, method, target, last_error)
-        )
 
-    async def broadcast(
-        self,
-        method: str,
-        target: str,
-        body: bytes = b"",
-        context: Optional[RequestContext] = None,
-        key: Optional[str] = None,
-    ) -> List[WorkerReply]:
-        """The same request to *every* worker of the group, best effort.
-
-        Used for mutations that must land in every worker's catalog view
-        (tombstones): workers of one shard share the blob backend but
-        keep independent catalogs, so a delete applied to just one would
-        let a sibling worker resurrect the key on failover reads.
+        ``every_worker`` sends the request to the whole group instead, for
+        mutations that must land in every worker's catalog view
+        (tombstones): workers of one shard share the blob backend but keep
+        independent catalogs, so a delete applied to just one would let a
+        sibling worker resurrect the key on failover reads.  The shard's
+        reply is then the first success, else the first failure other
+        than a miss, else a miss.
         """
         replies: List[WorkerReply] = []
-        for worker in self.group.candidates(key):
-            try:
-                budget = self._attempt_budget(context)
-                replies.append(
-                    await asyncio.wait_for(
-                        self._request_worker(worker, method, target, body, context),
-                        budget,
-                    )
-                )
-            except DeadlineExceededError:
-                raise
-            except (
-                asyncio.TimeoutError,
-                ConnectionError,
-                OSError,
-                asyncio.IncompleteReadError,
-                ValueError,
-            ):
-                continue
-        return replies
-
-    async def open_stream(
-        self,
-        method: str,
-        target: str,
-        body: bytes = b"",
-        context: Optional[RequestContext] = None,
-        key: Optional[str] = None,
-    ) -> Tuple[int, Dict[str, str], Union[bytes, AsyncIterator[bytes]]]:
-        """A streaming request: the head is read eagerly, the body lazily.
-
-        A chunked 2xx answer returns an async iterator of the *de-framed*
-        chunk payloads (the proxy re-frames them for its own client);
-        anything else is buffered and returned as bytes so error
-        envelopes forward verbatim and failover can keep trying.
-        """
         last_error: Optional[BaseException] = None
-        retryable: Optional[Tuple[int, Dict[str, str], bytes]] = None
         for worker in self.group.candidates(key):
-            budget = self._attempt_budget(context)
             try:
-                opened = await asyncio.wait_for(
-                    self._open_stream_worker(worker, method, target, body, context),
-                    budget,
-                )
-            except asyncio.TimeoutError:
-                if context is not None and context.deadline.expired:
-                    raise DeadlineExceededError(
-                        "worker call ran past the request deadline"
-                    ) from None
-                last_error = StoreError(
-                    "worker %s did not answer within %.1fs" % (worker.label, budget)
-                )
-                continue
-            except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError) as error:
+                reply = await self._attempt(worker, method, target, body, context, stream)
+            except _ATTEMPT_ERRORS as error:
                 last_error = error
                 continue
-            status, headers, payload = opened
-            if isinstance(payload, bytes) and status in (429, 503):
-                retryable = (status, headers, payload)
-                continue
-            return opened
-        if retryable is not None:
-            return retryable
-        raise WorkerUnreachableError(
-            "no worker of shard %s answered %s %s (%s)"
-            % (self.name, method, target, last_error)
-        )
-
-    async def _open_stream_worker(
-        self,
-        worker: WorkerProcess,
-        method: str,
-        target: str,
-        body: bytes,
-        context: Optional[RequestContext],
-    ) -> Tuple[int, Dict[str, str], Union[bytes, AsyncIterator[bytes]]]:
-        payload = _render_request(method, target, body, self._forward_headers(context))
-        for pooled in (True, False):
-            conn = self._checkout(worker) if pooled else None
-            if pooled and conn is None:
-                continue
-            generation = worker.generation
-            if conn is None:
-                reader, writer = await asyncio.open_connection(worker.host, worker.port)
-            else:
-                reader, writer = conn
-            try:
-                writer.write(payload)
-                await writer.drain()
-                status, headers = await _read_head(reader)
-            except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError):
-                _close_writer(writer)
-                if conn is not None:
-                    continue
-                raise
-            chunked = headers.get("transfer-encoding", "").lower() == "chunked"
-            if status < 300 and chunked:
-                pieces = self._stream_pieces(worker, generation, reader, writer)
-                return status, headers, pieces
-            try:
-                reply_body = await _read_body(reader, headers)
-            except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError):
-                _close_writer(writer)
-                if conn is not None:
-                    continue
-                raise
-            if headers.get("connection", "").lower() == "close":
-                _close_writer(writer)
-            else:
-                self._checkin(worker, generation, reader, writer)
-            return status, headers, reply_body
-        raise ConnectionError("worker %s has no usable connection" % worker.label)
+            if not every_worker and reply.status not in (429, 503):
+                return reply
+            replies.append(reply)
+        if not replies:
+            raise WorkerUnreachableError(
+                "no worker of shard %s answered %s %s (%s)"
+                % (self.name, method, target, last_error)
+            )
+        return min(replies, key=lambda reply: (reply.status >= 300, reply.status == 404))
 
     async def _stream_pieces(
         self,
@@ -549,117 +449,48 @@ def _merge_counters(target: Dict[str, object], source: Dict[str, object]) -> Non
             target.setdefault(key, value)
 
 
-class ProxyService:
-    """The proxy-side counterpart of :class:`ImageService`.
+def _ask_workers(
+    group: WorkerGroup, ask: Callable[[ServeClient], Dict[str, Any]], timeout: float
+) -> Iterator[Dict[str, Any]]:
+    """``ask``'s document from every live worker of ``group`` that answers."""
+    for worker in group.workers:
+        if not worker.alive:
+            continue
+        try:
+            with ServeClient(worker.host, worker.port, timeout=timeout) as client:
+                document = ask(client)
+        except (ServeError, OSError):
+            continue
+        yield document
 
-    Carries the exact attribute surface :class:`ReproServer` touches
-    (router, health, stats, admission, limiter, executor, timeouts) so
-    the inherited connection handling, admission control and dispatch
-    run unmodified — but the "stores" behind the router are
-    :class:`RemoteShard` handles, and the control-plane documents
-    (``/stats``, ``/catalog``) are aggregated from the worker fleet.
+
+class ProxyService(ServiceCore[RemoteShard]):
+    """The proxy-side counterpart of :class:`~repro.serve.app.ImageService`.
+
+    The front-end settings, replicas and control-plane documents are the
+    shared :class:`~repro.serve.app.ServiceCore`'s; the shards are
+    :class:`RemoteShard` handles over the supervisor's worker groups, and
+    the ``/stats`` and ``/catalog`` documents are aggregated from the
+    worker fleet.  ``options`` are :class:`ServiceCore`'s front-end
+    parameters.
     """
 
     def __init__(
         self,
         supervisor: WorkerSupervisor,
-        replication: int = 1,
-        engine: str = "reference",
-        default_stripes: int = 4,
-        max_workers: Optional[int] = None,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        shed_low: Optional[int] = None,
-        retry_after: float = 1.0,
-        max_connections_per_client: int = 0,
-        client_rate: float = 0.0,
-        client_burst: Optional[float] = None,
-        default_deadline: float = DEFAULT_DEADLINE_SECONDS,
-        read_timeout: Optional[float] = 30.0,
-        idle_timeout: Optional[float] = None,
-        drain_budget: float = 10.0,
-        health_down_after: int = 3,
-        health_up_after: int = 2,
         worker_timeout: float = 30.0,
+        **options: Any,
     ) -> None:
         self.supervisor = supervisor
-        self.remote_shards = [
+        shards = [
             RemoteShard(group, request_timeout=worker_timeout)
             for group in supervisor.groups
         ]
-        self.router = StoreRouter(
-            cast("List[ImageStore]", self.remote_shards),
-            supervisor.shard_names,
-            replication=replication,
-        )
-        self.health = HealthTracker(
-            names=self.router.names,
-            down_after=health_down_after,
-            up_after=health_up_after,
-        )
-        self.resharder = None
-        self.flight = SingleFlight()  # unused for data; kept for surface parity
-        self.stats = ServerStats()
-        self.executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-proxy"
-        )
-        self.engine_name = engine
-        self.default_stripes = default_stripes
-        self.admission = AdmissionController(
-            high=max_inflight, low=shed_low, retry_after=retry_after
-        )
-        self.limiter = ClientLimiter(
-            max_connections=max_connections_per_client,
-            rate=client_rate,
-            burst=client_burst,
-        )
-        self.default_deadline = max(0.0, default_deadline)
-        self.read_timeout = read_timeout
-        self.idle_timeout = idle_timeout
-        self.drain_budget = drain_budget
-        self.worker_timeout = worker_timeout
+        super().__init__(shards, supervisor.shard_names, **options)
 
     def close(self) -> None:
-        self.executor.shutdown(wait=True)
-        self.router.close()
+        super().close()
         self.supervisor.stop()
-
-    # -- the proxy's own blocking work (runs on its executor) ----------- #
-
-    def encode_body(
-        self, body: bytes, stripes: Optional[int], plane_delta: bool
-    ) -> Tuple[bytes, bool]:
-        """A PUT body as the container to fan out, plus whether we encoded.
-
-        Routing needs the content key before any worker is picked, and
-        the key is the hash of the *encoded* stream — so Netpbm bodies
-        are encoded here at the proxy, exactly as the in-process service
-        would, and only ready containers travel to the owners.
-        """
-        if not body:
-            raise ConfigError("PUT body is empty — expected a Netpbm image or container")
-        if body[:2] in _NETPBM_MAGICS:
-            image = read_image(io.BytesIO(body))
-            config = CodecConfig.hardware(bit_depth=image.bit_depth)
-            stream, _ = encode_grid(
-                image,
-                config,
-                engine=self.engine_name,
-                stripes=stripes if stripes is not None else self.default_stripes,
-                plane_delta=plane_delta,
-            )
-            return stream, True
-        return body, False
-
-    def version_payload(self) -> Dict[str, object]:
-        return version_payload()
-
-    def healthz(self) -> Dict[str, object]:
-        status = "draining" if self.stats.draining else "ok"
-        payload: Dict[str, object] = {"status": status, "shards": len(self.router)}
-        down = self.health.down_shards()
-        if down:
-            payload["shards_down"] = down
-        return payload
 
     def stats_payload(self) -> Dict[str, object]:
         """The fleet-wide ``/stats``: proxy front-end + aggregated workers.
@@ -675,10 +506,7 @@ class ProxyService:
         sections: List[Dict[str, object]] = []
         for group in self.supervisor.groups:
             merged: Dict[str, object] = {}
-            for worker in group.workers:
-                document = self._scrape_worker(worker)
-                if document is None:
-                    continue
+            for document in _ask_workers(group, ServeClient.stats, timeout=5.0):
                 worker_flight = document.get("flight")
                 if isinstance(worker_flight, dict):
                     _merge_counters(flight, worker_flight)
@@ -688,407 +516,174 @@ class ProxyService:
             merged["name"] = group.shard_name
             merged["joining"] = False
             sections.append(merged)
-        return {
-            "server": self.stats.as_json(),
-            "flight": flight,
-            "admission": self.admission.stats(),
-            "clients": self.limiter.stats(),
-            "shards": sections,
-            "replication": {
-                "factor": self.router.replication,
-                "health": self.health.snapshot(),
-                "down": self.health.down_shards(),
-                "joining": None,
-                "reshard": None,
-            },
-            "workers": self.supervisor.snapshot(),
-        }
+        return dict(
+            super().stats_payload(),
+            flight=flight,
+            shards=sections,
+            workers=self.supervisor.snapshot(),
+        )
 
-    def _scrape_worker(self, worker: WorkerProcess) -> Optional[Dict[str, object]]:
-        if not worker.alive:
-            return None
-        try:
-            with ServeClient(worker.host, worker.port, timeout=5.0) as client:
-                return client.stats()
-        except (ServeError, OSError):
-            return None
-
-    def catalog_payload(
-        self,
-        filter: CatalogFilter,
-        limit: Optional[int] = None,
-        offset: int = 0,
-    ) -> Dict[str, object]:
-        """The merged catalog across every shard's worker fleet.
+    def _catalog_pages(
+        self, filter: CatalogFilter, bound: Optional[int]
+    ) -> Iterator[Tuple[List[Dict[str, Any]], int]]:
+        """Per shard: the union of its workers' catalog views.
 
         Workers of one shard keep independent catalog views (each records
         the puts it handled), so the group's listing is the union of its
-        workers', deduplicated per key newest-first.  Shards merge and
-        paginate exactly like the in-process service — same sort key,
-        same pushed-down ``offset + limit`` bound per worker, same
-        ``{"entries", "total", "offset"}`` document.
+        workers', deduplicated per key newest-first, with the same
+        pushed-down bound per worker.
         """
-        bound = None if limit is None else offset + limit
         tag: Optional[str] = None
         if filter.tags:
             tag_key, tag_value = filter.tags[0]
             tag = tag_key if tag_value is None else "%s=%s" % (tag_key, tag_value)
-        total = 0
-        merged_rows: List[Dict[str, object]] = []
+
+        def query(client: ServeClient) -> Dict[str, Any]:
+            return client.catalog(
+                limit=bound,
+                offset=0,
+                tag=tag,
+                planes=filter.planes,
+                engine=filter.engine,
+                include_deleted=filter.include_deleted,
+                deleted_only=filter.deleted_only,
+            )
+
         for group in self.supervisor.groups:
-            by_key: Dict[str, Dict[str, object]] = {}
-            group_total = 0
-            duplicates = 0
-            answered = False
-            for worker in group.workers:
-                if not worker.alive:
-                    continue
-                try:
-                    with ServeClient(worker.host, worker.port, timeout=10.0) as client:
-                        document = client.catalog(
-                            limit=bound,
-                            offset=0,
-                            tag=tag,
-                            planes=filter.planes,
-                            engine=filter.engine,
-                            include_deleted=filter.include_deleted,
-                            deleted_only=filter.deleted_only,
-                        )
-                except (ServeError, OSError):
-                    continue
-                answered = True
-                group_total += int(cast(int, document.get("total", 0)))
-                for row in document.get("entries", ()):
-                    key = str(row["key"])
-                    known = by_key.get(key)
-                    if known is None:
-                        by_key[key] = row
-                    else:
-                        duplicates += 1
-                        if row.get("created_at", 0) > known.get("created_at", 0):
-                            by_key[key] = row
-            if not answered:
+            documents = list(_ask_workers(group, query, timeout=10.0))
+            if not documents:
                 raise StoreError(
                     "no worker of shard %s answered the catalog query"
                     % group.shard_name
                 )
-            total += max(0, group_total - duplicates)
-            merged_rows.extend(by_key.values())
-        merged_rows.sort(
-            key=lambda row: (-cast(float, row.get("created_at", 0.0)), str(row["key"]))
-        )
-        end = None if limit is None else offset + limit
-        return {"entries": merged_rows[offset:end], "total": total, "offset": offset}
+            rows = [row for document in documents for row in document.get("entries", ())]
+            # Oldest first, so the newest copy of a key is the one kept.
+            rows.sort(key=lambda row: row["created_at"])
+            by_key = {row["key"]: row for row in rows}
+            total = sum(int(document.get("total", 0)) for document in documents)
+            yield list(by_key.values()), max(0, total - (len(rows) - len(by_key)))
 
 
-class ReproProxy(ReproServer):
-    """The proxy front-end: :class:`ReproServer` with forwarding handlers.
+class ReproProxy(ServerCore[ProxyService]):
+    """The proxy front-end: :class:`ServerCore` with forwarding handlers.
 
-    Everything above the handlers — connection handling, the route
-    table, 404/405 derivation, admission, deadlines, the error envelope,
-    chunked streaming, drain — is inherited.  Control-plane routes
-    (``/healthz``, ``/stats``, ``/version``, ``/catalog``) are inherited
-    too: they call the service's blocking methods, which
-    :class:`ProxyService` implements by aggregation.
+    Every data-plane route walks the key's owner shards through the
+    shared replica policy; only the transport — an async worker request
+    — is the proxy's own.
     """
 
-    def __init__(
-        self, service: ProxyService, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        super().__init__(cast(ImageService, service), host, port)
-        self.proxy_service = service
+    @staticmethod
+    async def _walk(
+        walk: ReplicaWalk[RemoteShard],
+        call: Callable[[RemoteShard], Awaitable[WorkerReply]],
+    ) -> WorkerReply:
+        """Drive one replica walk with an async worker call per owner."""
+        for _, shard in walk:
+            try:
+                reply = await call(shard)
+            except Exception as error:
+                walk.raised(error)
+            else:
+                walk.replied(reply.status, reply)
+        return walk.result()
 
-    # -- shard-level forwarding with replica failover -------------------- #
+    def _relay(
+        self, reply: WorkerReply, context: RequestContext
+    ) -> Tuple[int, Union[bytes, StreamingBody], str]:
+        """A worker reply as this proxy's response, passed through as-is.
+
+        A streamed answer is committed: a mid-stream worker death aborts
+        the client's stream (truncated chunked body) exactly as an
+        in-process decode failure would.
+        """
+        if reply.chunks is None:
+            return reply.status, reply.body, reply.content_type
+        body = StreamingBody(reply.chunks, self._stream_release(context))
+        return reply.status, body, reply.content_type
+
+    # -- data-plane handlers -------------------------------------------- #
 
     async def _forward(
-        self,
-        context: RequestContext,
-        key: str,
-        method: str,
-        target: str,
-        body: bytes = b"",
-    ) -> WorkerReply:
+        self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
+    ) -> Tuple[int, Union[bytes, StreamingBody], str]:
         """Forward one keyed read, failing over across owner shards.
 
-        Mirrors :meth:`ImageService._read_replicas`: owners in rendezvous
-        order reordered healthy-first, an unreachable or erroring shard
-        moves on to the next owner, a 404 only becomes the answer when
-        every owner missed, and a shard-level failure outranks a 404.
+        Workers speak the same route table, so the read travels as routed
+        here.  With ``?stream=1`` the failover happens *before* the first
+        chunk: once a worker's 2xx head is accepted the stream is
+        committed.
         """
-        service = self.proxy_service
-        candidates = service.health.prefer_healthy(service.router.owners(key))
-        not_found: Optional[WorkerReply] = None
-        failure: Optional[WorkerReply] = None
-        unreachable: Optional[StoreError] = None
-        for position, (name, shard) in enumerate(candidates):
-            if position:
-                context.check("replica failover")
-            remote = cast(RemoteShard, shard)
-            try:
-                reply = await remote.request(
-                    method, target, body=body, context=context, key=key
-                )
-            except DeadlineExceededError:
-                raise
-            except StoreError as error:
-                service.health.record_failure(name)
-                service.stats.bump("failovers")
-                service.stats.bump_shard(name, "failovers")
-                unreachable = error
-                continue
-            if reply.status == 404:
-                service.health.record_success(name)
-                not_found = reply
-                continue
-            if reply.status >= 500:
-                service.health.record_failure(name)
-                service.stats.bump("failovers")
-                service.stats.bump_shard(name, "failovers")
-                failure = reply
-                continue
-            service.health.record_success(name)
-            return reply
-        if failure is not None:
-            return failure
-        if unreachable is not None:
-            raise unreachable
-        assert not_found is not None
-        return not_found
+        key = str(params["key"])
+        stream = self._flag_query(request, "stream")
+        target = quote(request.path) + ("?stream=1" if stream else "")
+        reply = await self._walk(
+            self.service.replicas.read(key, context),
+            lambda shard: shard.request(
+                request.method, target, request.body, context, key, stream
+            ),
+        )
+        return self._relay(reply, context)
 
-    async def _forward_stream(
-        self,
-        context: RequestContext,
-        key: str,
-        method: str,
-        target: str,
-        body: bytes = b"",
-    ) -> Tuple[int, Union[bytes, StreamingBody], str]:
-        """Forward a ``?stream=1`` request, passing chunks through as-is.
-
-        Failover happens *before* the first chunk: once a worker's 200
-        head is accepted the stream is committed, and a mid-stream worker
-        death aborts the client's stream (truncated chunked body) exactly
-        as an in-process decode failure would.
-        """
-        service = self.proxy_service
-        candidates = service.health.prefer_healthy(service.router.owners(key))
-        not_found: Optional[Tuple[int, bytes, str]] = None
-        failure: Optional[Tuple[int, bytes, str]] = None
-        unreachable: Optional[StoreError] = None
-        for position, (name, shard) in enumerate(candidates):
-            if position:
-                context.check("replica failover")
-            remote = cast(RemoteShard, shard)
-            try:
-                status, headers, payload = await remote.open_stream(
-                    method, target, body=body, context=context, key=key
-                )
-            except DeadlineExceededError:
-                raise
-            except StoreError as error:
-                service.health.record_failure(name)
-                service.stats.bump("failovers")
-                service.stats.bump_shard(name, "failovers")
-                unreachable = error
-                continue
-            content_type = headers.get("content-type", "application/octet-stream")
-            if isinstance(payload, bytes):
-                if status == 404:
-                    service.health.record_success(name)
-                    not_found = (status, payload, content_type)
-                    continue
-                if status >= 500:
-                    service.health.record_failure(name)
-                    service.stats.bump("failovers")
-                    service.stats.bump_shard(name, "failovers")
-                    failure = (status, payload, content_type)
-                    continue
-                service.health.record_success(name)
-                return status, payload, content_type
-            service.health.record_success(name)
-            streaming = StreamingBody(payload, self._stream_release(context))
-            return status, streaming, content_type
-        if failure is not None:
-            return failure
-        if unreachable is not None:
-            raise unreachable
-        assert not_found is not None
-        return not_found
-
-    # -- data-plane handlers (the only overrides) ------------------------ #
+    _handle_get_image = _handle_get_plane = _forward
+    _handle_get_region = _handle_get_regions = _forward
 
     async def _handle_put_image(
         self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
     ) -> Tuple[int, Union[bytes, StreamingBody], str]:
-        service = self.proxy_service
+        service = self.service
         stream, encoded = await self._offload(
             context,
-            service.encode_body,
+            service.prepare_put,
             request.body,
             self._int_query(request, "stripes"),
             self._flag_query(request, "plane_delta"),
         )
         key = hashlib.sha256(stream).hexdigest()
-        replicas: List[str] = []
-        failure: Optional[WorkerReply] = None
-        unreachable: Optional[StoreError] = None
-        for name, shard in service.router.owners(key):
-            remote = cast(RemoteShard, shard)
-            try:
-                reply = await remote.request(
-                    "PUT", "/images", body=stream, context=context, key=key
-                )
-            except DeadlineExceededError:
-                raise
-            except StoreError as error:
-                service.health.record_failure(name)
-                service.stats.bump("write_failovers")
-                service.stats.bump_shard(name, "write_failovers")
-                unreachable = error
-                continue
-            if reply.status == 201:
-                service.health.record_success(name)
-                replicas.append(name)
-                continue
-            if 400 <= reply.status < 500:
-                # The request itself is bad — equally bad on every owner;
-                # the worker's envelope forwards verbatim.
-                return reply.status, reply.body, reply.content_type
-            service.health.record_failure(name)
-            service.stats.bump("write_failovers")
-            service.stats.bump_shard(name, "write_failovers")
-            failure = reply
-        if not replicas:
-            if failure is not None:
-                return failure.status, failure.body, failure.content_type
-            raise StoreError(
-                "no worker of any owner shard accepted key %s (%s)"
-                % (key, unreachable)
-            )
-        outcome = {
-            "key": key,
-            "shard": service.router.shard_name(key),
-            "bytes": len(stream),
-            "encoded": encoded,
-            "replicas": replicas,
-        }
+        walk = service.replicas.write(key, context)
+        reply = await self._walk(
+            walk, lambda shard: shard.request("PUT", "/images", stream, context, key)
+        )
+        if reply.status >= 300:
+            # A refusal (equally bad on every owner) or the last fault:
+            # the worker's envelope forwards verbatim.
+            return self._relay(reply, context)
+        outcome = service.write_outcome(
+            key, walk.replicas, bytes=len(stream), encoded=encoded
+        )
         return 201, json_payload(outcome), "application/json"
 
     async def _handle_delete_image(
         self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
     ) -> Tuple[int, Union[bytes, StreamingBody], str]:
-        service = self.proxy_service
         key = str(params["key"])
-        ttl = self._float_query(request, "ttl")
-        if ttl is not None and ttl < 0:
-            raise ConfigError("ttl must be >= 0 seconds, got %s" % ttl)
-        target = "/images/" + quote(key, safe="")
+        ttl = self._ttl_query(request)
+        target = quote(request.path)
         if ttl is not None:
             target += "?ttl=%s" % ttl
-        deleted: List[str] = []
-        entry: Optional[Dict[str, object]] = None
-        not_found: Optional[WorkerReply] = None
-        failure: Optional[WorkerReply] = None
-        unreachable = False
-        for name, shard in service.router.owners(key):
-            remote = cast(RemoteShard, shard)
-            # Broadcast: every worker of the group keeps its own catalog,
-            # and the tombstone must land in all of them or a failover
-            # read through a sibling worker would resurrect the key.
-            replies = await remote.broadcast(
-                "DELETE", target, context=context, key=key
-            )
-            if not replies:
-                service.health.record_failure(name)
-                service.stats.bump("write_failovers")
-                service.stats.bump_shard(name, "write_failovers")
-                unreachable = True
-                continue
-            succeeded = [reply for reply in replies if reply.status == 200]
-            if succeeded:
-                service.health.record_success(name)
-                deleted.append(name)
-                if entry is None:
-                    try:
-                        entry = json.loads(succeeded[0].body.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError):
-                        entry = None
-                continue
-            if all(reply.status == 404 for reply in replies):
-                service.health.record_success(name)
-                not_found = replies[0]
-                continue
-            service.health.record_failure(name)
-            service.stats.bump("write_failovers")
-            service.stats.bump_shard(name, "write_failovers")
-            failure = replies[0]
-        if not deleted:
-            if failure is not None:
-                return failure.status, failure.body, failure.content_type
-            if not_found is not None:
-                return not_found.status, not_found.body, not_found.content_type
-            assert unreachable
-            raise StoreError(
-                "no worker of any owner shard answered the delete of %s" % key
-            )
-        payload = {
-            "key": key,
-            "shard": service.router.shard_name(key),
-            "deleted_at": None if entry is None else entry.get("deleted_at"),
-            "purge_after": None if entry is None else entry.get("purge_after"),
-            "replicas": deleted,
-        }
-        return 200, json_payload(payload), "application/json"
-
-    async def _handle_get_image(
-        self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
-    ) -> Tuple[int, Union[bytes, StreamingBody], str]:
-        key = str(params["key"])
-        reply = await self._forward(
-            context, key, "GET", "/images/" + quote(key, safe="")
+        walk = self.service.replicas.write(key, context)
+        # Every worker of the group keeps its own catalog, and the
+        # tombstone must land in all of them or a failover read through a
+        # sibling worker would resurrect the key.
+        reply = await self._walk(
+            walk,
+            lambda shard: shard.request(
+                "DELETE", target, context=context, key=key, every_worker=True
+            ),
         )
-        return reply.status, reply.body, reply.content_type
-
-    async def _handle_get_plane(
-        self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
-    ) -> Tuple[int, Union[bytes, StreamingBody], str]:
-        key = str(params["key"])
-        target = "/images/%s/plane/%d" % (quote(key, safe=""), cast(int, params["plane"]))
-        reply = await self._forward(context, key, "GET", target)
-        return reply.status, reply.body, reply.content_type
-
-    async def _handle_get_region(
-        self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
-    ) -> Tuple[int, Union[bytes, StreamingBody], str]:
-        key = str(params["key"])
-        start, stop = cast(Tuple[int, int], params["range"])
-        target = "/images/%s/region/%d-%d" % (quote(key, safe=""), start, stop)
-        if self._flag_query(request, "stream"):
-            return await self._forward_stream(context, key, "GET", target + "?stream=1")
-        reply = await self._forward(context, key, "GET", target)
-        return reply.status, reply.body, reply.content_type
-
-    async def _handle_get_regions(
-        self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
-    ) -> Tuple[int, Union[bytes, StreamingBody], str]:
-        key = str(params["key"])
-        target = "/images/%s/regions" % quote(key, safe="")
-        if self._flag_query(request, "stream"):
-            return await self._forward_stream(
-                context, key, "POST", target + "?stream=1", body=request.body
-            )
-        reply = await self._forward(context, key, "POST", target, body=request.body)
-        return reply.status, reply.body, reply.content_type
+        if reply.status >= 300:
+            return self._relay(reply, context)
+        entry = json.loads(reply.body.decode("utf-8"))
+        outcome = self.service.write_outcome(
+            key,
+            walk.replicas,
+            deleted_at=entry.get("deleted_at"),
+            purge_after=entry.get("purge_after"),
+        )
+        return 200, json_payload(outcome), "application/json"
 
 
 def start_proxy_thread(
     service: ProxyService, host: str = "127.0.0.1", port: int = 0, timeout: float = 10.0
 ) -> ServerHandle:
     """Boot a :class:`ReproProxy` on a daemon thread (tests, smokes)."""
-    return start_server_thread(
-        cast(ImageService, service),
-        host,
-        port,
-        timeout,
-        server_class=ReproProxy,
-    )
+    return start_server_thread(service, host, port, timeout, server_class=ReproProxy)

@@ -13,8 +13,8 @@ Two generalisations of the single-owner scheme live here:
 * **Replication factor R** — :meth:`StoreRouter.shards_for` returns the
   top-R rendezvous winners in score order.  Writes go to every owner;
   reads try owners in score order and fail over to the next replica when
-  one is down (the failover loop itself lives in
-  :class:`~repro.serve.app.ImageService`).
+  one is down (the failover policy itself lives in
+  :mod:`repro.serve.replicas`, shared by both topologies).
 * **Joining membership** — during a live reshard
   (:mod:`repro.serve.reshard`) the router carries one *joining* shard:
   :meth:`owners` returns the owner set under the **union** of the old and
@@ -31,12 +31,37 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Generic,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.exceptions import ConfigError
 from repro.store.store import ImageStore
 
-__all__ = ["StoreRouter", "rendezvous_score", "rendezvous_shard"]
+__all__ = ["Shard", "StoreRouter", "rendezvous_score", "rendezvous_shard"]
+
+
+class Shard(Protocol):
+    """What routing needs of a shard: a local store or a remote worker group."""
+
+    @property
+    def engine(self) -> str:
+        """The coding engine the shard encodes and decodes with."""
+
+    def close(self) -> None:
+        """Release the shard's resources."""
+
+
+ShardT = TypeVar("ShardT", bound=Shard)
 
 
 def rendezvous_score(shard_name: str, key: str) -> int:
@@ -65,13 +90,15 @@ def _ranked(shard_names: Sequence[str], key: str) -> List[str]:
     )
 
 
-class StoreRouter:
+class StoreRouter(Generic[ShardT]):
     """Route content keys across a set of named image-store shards.
 
     Parameters
     ----------
     stores:
-        One opened :class:`ImageStore` per shard.
+        One shard handle each: an opened :class:`ImageStore` in process, a
+        worker group (:class:`~repro.serve.proxy.RemoteShard`) behind the
+        proxy.
     names:
         Stable shard names (they are the hash inputs, so renaming a shard
         moves its keys).  Default: ``shard-00`` .. ``shard-NN``.
@@ -88,7 +115,7 @@ class StoreRouter:
 
     def __init__(
         self,
-        stores: Sequence[ImageStore],
+        stores: Sequence[ShardT],
         names: Sequence[str] = (),
         replication: int = 1,
     ) -> None:
@@ -104,7 +131,7 @@ class StoreRouter:
             raise ConfigError("shard names must be unique, got %r" % (list(names),))
         if replication < 1:
             raise ConfigError("replication factor must be >= 1, got %d" % replication)
-        self._stores: List[ImageStore] = list(stores)
+        self._stores: List[ShardT] = list(stores)
         self._names: List[str] = list(names)
         self._replication = replication
         self._lock = threading.Lock()
@@ -115,7 +142,7 @@ class StoreRouter:
         with self._lock:
             return len(self._stores)
 
-    def __iter__(self) -> Iterator[ImageStore]:
+    def __iter__(self) -> Iterator[ShardT]:
         return iter(self.stores)
 
     @property
@@ -124,7 +151,7 @@ class StoreRouter:
             return list(self._names)
 
     @property
-    def stores(self) -> List[ImageStore]:
+    def stores(self) -> List[ShardT]:
         with self._lock:
             return list(self._stores)
 
@@ -139,7 +166,7 @@ class StoreRouter:
         with self._lock:
             return self._joining
 
-    def _snapshot(self) -> Tuple[List[str], Dict[str, ImageStore], Optional[str]]:
+    def _snapshot(self) -> Tuple[List[str], Dict[str, ShardT], Optional[str]]:
         with self._lock:
             return (
                 list(self._names),
@@ -174,12 +201,12 @@ class StoreRouter:
         names, _, _ = self._snapshot()
         return names[rendezvous_shard(names, key)]
 
-    def store_for(self, key: str) -> ImageStore:
-        """The primary :class:`ImageStore` for ``key`` (single-owner view)."""
+    def store_for(self, key: str) -> ShardT:
+        """The primary shard for ``key`` (single-owner view)."""
         names, by_name, _ = self._snapshot()
         return by_name[names[rendezvous_shard(names, key)]]
 
-    def owners(self, key: str) -> List[Tuple[str, ImageStore]]:
+    def owners(self, key: str) -> List[Tuple[str, ShardT]]:
         """Every (name, store) that owns ``key``, best score first.
 
         Under stable membership this is the top-R rendezvous winners.
@@ -207,7 +234,7 @@ class StoreRouter:
     # live resharding membership
     # ------------------------------------------------------------------ #
 
-    def begin_reshard(self, store: ImageStore, name: str) -> None:
+    def begin_reshard(self, store: ShardT, name: str) -> None:
         """Add ``store`` as a joining shard (N -> N+1 live reshard).
 
         Placement immediately includes the new shard, but until
@@ -239,7 +266,7 @@ class StoreRouter:
     # enumeration and diagnostics
     # ------------------------------------------------------------------ #
 
-    def keys(self) -> Iterator[str]:
+    def keys(self: "StoreRouter[ImageStore]") -> Iterator[str]:
         """Every distinct key stored across all shards.
 
         Replication and mid-migration resharding legitimately place the
@@ -253,7 +280,7 @@ class StoreRouter:
                     seen.add(key)
                     yield key
 
-    def stats(self) -> List[Dict[str, object]]:
+    def stats(self: "StoreRouter[ImageStore]") -> List[Dict[str, object]]:
         """Per-shard backend + cache counters, routing name included."""
         names, by_name, joining = self._snapshot()
         return [

@@ -53,6 +53,7 @@ __all__ = [
     "new_request_id",
     "route_templates",
     "split_path",
+    "status_for",
     "version_payload",
 ]
 
@@ -234,6 +235,35 @@ _STATUS_CODES: Dict[int, str] = {
 }
 
 
+#: Typed failures by intent: (exception types, HTTP status, envelope
+#: code), first match wins.  Anything unmapped is a server-side ``500``.
+_ERROR_CLASSES: Tuple[Tuple[Tuple[type, ...], int, str], ...] = (
+    ((OverloadedError,), 429, "shed"),
+    ((DeadlineExceededError,), 504, "deadline"),
+    ((BlobNotFoundError,), 404, "not_found"),
+    ((ConfigError, ImageFormatError), 400, "bad_request"),
+    # Every replica that could hold the bytes was unreadable — a sick
+    # storage tier, not a client mistake.
+    ((StoreError,), 503, "upstream_unhealthy"),
+)
+
+
+def status_for(error: BaseException) -> int:
+    """The HTTP status a failure is answered with.
+
+    One mapping for the dispatch (which answers with it) and the replica
+    walk (which classes an in-process owner failure by it, see
+    :mod:`repro.serve.replicas`).  Anything unmapped — a corrupt stored
+    stream, a model state violation, a handler bug — is a ``500``.
+    """
+    if isinstance(error, HttpProtocolError):
+        return error.status
+    for types, status, _ in _ERROR_CLASSES:
+        if isinstance(error, types):
+            return status
+    return 500
+
+
 def classify_error(status: int, error: Optional[BaseException] = None) -> str:
     """The envelope code for one failure: exception type first, then status.
 
@@ -242,21 +272,13 @@ def classify_error(status: int, error: Optional[BaseException] = None) -> str:
     an older layer mapped it), so typed errors win; anything unmapped
     falls back on the status table and finally on ``internal``.
     """
-    if error is not None:
-        if isinstance(error, OverloadedError):
-            return "shed"
-        if isinstance(error, DeadlineExceededError):
-            return "deadline"
-        if isinstance(error, HttpProtocolError):
-            return _STATUS_CODES.get(error.status, "protocol")
-        if isinstance(error, BlobNotFoundError):
-            return "not_found"
-        if isinstance(error, (ConfigError, ImageFormatError)):
-            return "bad_request"
-        if isinstance(error, StoreError):
-            return "upstream_unhealthy"
-        if isinstance(error, ReproError):
-            return "internal"
+    if isinstance(error, HttpProtocolError):
+        return _STATUS_CODES.get(error.status, "protocol")
+    for types, _, code in _ERROR_CLASSES:
+        if isinstance(error, types):
+            return code
+    if isinstance(error, ReproError):
+        return "internal"
     return _STATUS_CODES.get(status, "internal")
 
 

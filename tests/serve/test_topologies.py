@@ -13,6 +13,11 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -22,6 +27,7 @@ from repro.serve.app import ImageService, start_server_thread
 from repro.serve.cli import shard_paths
 from repro.serve.client import ServeClient
 from repro.serve.proxy import ProxyService, start_proxy_thread
+from repro.serve.router import rendezvous_shard
 from repro.serve.routes import ROUTES
 from repro.serve.worker import WorkerSpec, WorkerSupervisor
 from repro.store.store import ImageStore
@@ -29,20 +35,20 @@ from repro.store.store import ImageStore
 SHARDS = 2
 
 
-def _boot(topology, root):
+def _boot(topology, root, replication=1):
     """One running server of the given topology over a fresh 2-shard root."""
     if topology == "thread":
         stores = [
             ImageStore.open(path) for path in shard_paths(root, SHARDS, "fs")
         ]
-        service = ImageService(stores)
+        service = ImageService(stores, replication=replication)
         return start_server_thread(service), None
     specs = [
         WorkerSpec(shard_name="shard-%02d" % index, store_path=path)
         for index, path in enumerate(shard_paths(root, SHARDS, "fs"))
     ]
     supervisor = WorkerSupervisor(specs, workers_per_shard=1).start()
-    service = ProxyService(supervisor)
+    service = ProxyService(supervisor, replication=replication)
     return start_proxy_thread(service), supervisor
 
 
@@ -133,6 +139,8 @@ class TestEndpointsBothTopologies:
             ("GET", "/images/k/plane/xyz", b"", 400, "bad_request"),
             ("GET", "/images/k/region/zz", b"", 400, "bad_request"),
             ("PUT", "/images", b"", 400, "bad_request"),
+            ("DELETE", "/images/%s?ttl=nan" % ("0" * 64), b"", 400, "bad_request"),
+            ("DELETE", "/images/%s?ttl=inf" % ("0" * 64), b"", 400, "bad_request"),
         ]
         for method, target, body, expected_status, expected_code in cases:
             status, headers, payload = _raw(server.address, method, target, body)
@@ -225,6 +233,9 @@ PARITY_CASES = [
     ("healthz", "POST", "/healthz", b"", None, "envelope"),
     ("*", "GET", "/definitely/not/a/route", b"", None, "envelope"),
     ("get_image", "GET", "/images/{key}", b"", {"x-deadline-ms": "soon"}, "envelope"),
+    # a tombstone that no GC sweep could ever reclaim is a client error
+    ("delete_image", "DELETE", "/images/{key}?ttl=nan", b"", None, "envelope"),
+    ("delete_image", "DELETE", "/images/{key}?ttl=inf", b"", None, "envelope"),
     # mutation last: it tombstones the seeded key
     ("delete_image", "DELETE", "/images/{key}", b"", None, "shape"),
 ]
@@ -254,3 +265,128 @@ class TestRouteTableParity:
                 assert doc_a["error"] == doc_b["error"], label
             else:
                 assert set(doc_a) <= set(doc_b), label
+
+
+# --------------------------------------------------------------------- #
+# one replica policy: integrity failover, both topologies
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture(params=["thread", "proc"])
+def replicated(request, tmp_path):
+    """A fresh R=2 server of each topology, plus its shard root."""
+    handle, _ = _boot(request.param, tmp_path, replication=2)
+    yield handle, tmp_path
+    handle.stop()
+
+
+def _flip_payload_byte(root, shard, key):
+    """Corrupt one payload byte of ``key``'s blob on ``shard`` (fs layout)."""
+    path = root / shard / key[:2] / (key + ".rplc")
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0xFF  # the last cell's payload: caught by its index CRC
+    path.write_bytes(bytes(data))
+
+
+def _failovers(client):
+    return client.stats()["server"]["counters"].get("failovers", 0)
+
+
+class TestReplicaPolicyBothTopologies:
+    def test_corrupt_preferred_owner_fails_over_to_intact_replica(self, replicated):
+        handle, root = replicated
+        names = ["shard-%02d" % index for index in range(SHARDS)]
+        image = generate_planar_image("lena", size=24, seed=61, planes=3)
+        with ServeClient(*handle.address) as client:
+            key = client.put_image(_ppm_bytes(image), stripes=4)["key"]
+            _flip_payload_byte(root, names[rendezvous_shard(names, key)], key)
+            before = _failovers(client)
+            assert client.get_region(key, 0, 4) == image
+            assert _failovers(client) == before + 1
+
+    def test_corrupt_on_every_owner_is_an_internal_error(self, replicated):
+        handle, root = replicated
+        image = generate_planar_image("peppers", size=24, seed=62, planes=3)
+        with ServeClient(*handle.address) as client:
+            key = client.put_image(_ppm_bytes(image), stripes=4)["key"]
+        for index in range(SHARDS):
+            _flip_payload_byte(root, "shard-%02d" % index, key)
+        status, _, payload = _raw(handle.address, "GET", "/images/%s/region/0-4" % key)
+        assert status == 500
+        assert json.loads(payload)["code"] == "internal"
+
+
+# --------------------------------------------------------------------- #
+# the health prober runs under --topology proc too
+# --------------------------------------------------------------------- #
+
+
+def _wait_for(predicate, timeout, step=0.05):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        value = predicate()
+        if value:
+            return value
+        time.sleep(step)
+    return None
+
+
+def test_proc_prober_clears_shards_down_after_worker_respawn(tmp_path):
+    interval = 0.2
+    process = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.serve.cli",
+            "--topology",
+            "proc",
+            "--port",
+            "0",
+            "--shards",
+            str(SHARDS),
+            "--root",
+            str(tmp_path / "shards"),
+            "--health-interval",
+            str(interval),
+            "--health-down-after",
+            "1",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    try:
+        banner = process.stdout.readline()
+        assert "listening on http://" in banner
+        host, port = banner.split("http://", 1)[1].split(" ", 1)[0].rsplit(":", 1)
+        with ServeClient(host, int(port)) as client:
+            victim = client.stats()["workers"]["shard-00"][0]
+            os.kill(victim["pid"], signal.SIGKILL)
+            # The prober notices the dead worker fleet ...
+            assert _wait_for(
+                lambda: client.healthz().get("shards_down") == ["shard-00"], 10.0
+            ), "the prober never marked the killed shard down"
+            # ... the supervisor respawns it ...
+            assert _wait_for(
+                lambda: client.stats()["workers"]["shard-00"][0]["restarts"] >= 1
+                and client.stats()["workers"]["shard-00"][0]["up"],
+                30.0,
+            ), "the worker was not respawned within 30s"
+            # ... and the prober re-admits it within a few intervals, with
+            # no read traffic to report a success passively.
+            assert _wait_for(
+                lambda: "shards_down" not in client.healthz(), 25 * interval
+            ), "shards_down did not clear after the respawn"
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=30.0) == 0
+    finally:
+        if process.poll() is None:
+            # SIGTERM first: its drain cascade stops the worker processes,
+            # which a SIGKILL of the proxy would orphan.
+            process.terminate()
+            try:
+                process.wait(timeout=30.0)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait(timeout=10.0)
+        process.stdout.close()
