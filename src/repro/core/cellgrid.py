@@ -81,8 +81,8 @@ __all__ = [
 
 def plane_residuals(
     image: Union[GrayImage, PlanarImage], plane_delta: bool
-) -> List[GrayImage]:
-    """Return the plane images actually handed to the entropy coder.
+) -> List[np.ndarray]:
+    """Return the ``(height, width)`` sample arrays handed to the entropy coder.
 
     A grey image is its own single residual plane.  Without the predictor
     the planes themselves are returned.  With it, plane ``k > 0`` becomes
@@ -90,25 +90,12 @@ def plane_residuals(
     exactly invertible, so the scheme stays lossless.
     """
     if isinstance(image, GrayImage):
-        return [image]
-    planes = list(image.planes())
-    if not plane_delta or len(planes) == 1:
-        return planes
+        return [image.to_array()]
+    arrays = [plane.to_array() for plane in image.planes()]
+    if not plane_delta:
+        return arrays
     size = 1 << image.bit_depth
-    arrays = [plane.to_array() for plane in planes]
-    residuals = [planes[0]]
-    for k in range(1, len(planes)):
-        delta = (arrays[k] - arrays[k - 1]) % size
-        residuals.append(
-            GrayImage(
-                image.width,
-                image.height,
-                delta.reshape(-1).tolist(),
-                image.bit_depth,
-                planes[k].name,
-            )
-        )
-    return residuals
+    return arrays[:1] + [(arrays[k] - arrays[k - 1]) % size for k in range(1, len(arrays))]
 
 
 def reconstruct_plane_arrays(
@@ -165,14 +152,13 @@ def _resolve_map(executor, task_count: int) -> Callable:
 # ---------------------------------------------------------------------- #
 
 
-def _encode_cell_task(task: Tuple[int, int, List[int], int, CodecConfig, str]):
+def _encode_cell_task(task: Tuple[GrayImage, CodecConfig, str]):
     """Worker: encode one cell; returns (payload, statistics).
 
     Module-level so it can be pickled into pool workers; the task tuple is
-    ``(width, row_count, pixels, bit_depth, config, engine)``.
+    ``(cell, config, engine)``.
     """
-    width, row_count, pixels, bit_depth, config, engine = task
-    cell = GrayImage(width, row_count, pixels, bit_depth)
+    cell, config, engine = task
     return encode_payload(cell, config, engine=engine)
 
 
@@ -206,20 +192,20 @@ def encode_grid(
         raise ConfigError(str(exc)) from exc
 
     residuals = plane_residuals(image, plane_delta)
-    tasks = []
-    for residual in residuals:
-        pixels = residual.pixels()
-        for spec in plan:
-            tasks.append(
-                (
-                    image.width,
-                    spec.row_count,
-                    pixels[spec.start_row * image.width : spec.stop_row * image.width],
-                    image.bit_depth,
-                    config,
-                    engine,
-                )
-            )
+    tasks = [
+        (
+            GrayImage(
+                image.width,
+                spec.row_count,
+                residual[spec.start_row : spec.stop_row],
+                image.bit_depth,
+            ),
+            config,
+            engine,
+        )
+        for residual in residuals
+        for spec in plan
+    ]
     results = _resolve_map(executor, len(tasks))(_encode_cell_task, tasks)
     payloads = [payload for payload, _ in results]
     plane_payloads = [
@@ -324,11 +310,7 @@ class DecodedSelection:
         """One requested plane as a :class:`GrayImage`."""
         name = default_plane_names(self.header.component_count)[plane]
         return GrayImage(
-            self.header.width,
-            self.row_count,
-            self.planes[plane].reshape(-1).tolist(),
-            self.header.bit_depth,
-            name,
+            self.header.width, self.row_count, self.planes[plane], self.header.bit_depth, name
         )
 
     def planar_image(self) -> PlanarImage:
@@ -385,14 +367,12 @@ def decode_selection(
     cell_pixels = _resolve_map(executor, len(tasks))(_decode_cell_task, tasks)
 
     row_count = sum(spec.row_count for spec in plan)
-    residual_arrays = []
-    for index in range(len(needed)):
-        pixels: List[int] = []
-        for part in cell_pixels[index * len(plan) : (index + 1) * len(plan)]:
-            pixels.extend(part)
-        residual_arrays.append(
-            np.asarray(pixels, dtype=np.int64).reshape(row_count, header.width)
-        )
+    residual_arrays = [
+        np.concatenate(
+            cell_pixels[index * len(plan) : (index + 1) * len(plan)], dtype=np.int64
+        ).reshape(row_count, header.width)
+        for index in range(len(needed))
+    ]
     return assemble_selection(header, plan, requested, needed, residual_arrays)
 
 

@@ -1,22 +1,29 @@
 """Grey-scale image container.
 
 All codecs in this package operate on :class:`GrayImage`: a small, immutable
-wrapper around a row-major list of integer pixel values with an explicit bit
-depth.  The container deliberately stores plain Python integers (not a numpy
-array) in its accessor API because the codecs are integer-exact, but it can
-be constructed from and converted to numpy arrays for the synthetic
-generators and the metrics code.
+image with an explicit bit depth.  The samples live in one private,
+read-only numpy array (``uint8`` up to 8 bits, ``uint16`` above), so
+building an image, comparing it and serialising it are array operations.
+The accessor views (:meth:`~GrayImage.pixels`, :meth:`~GrayImage.row`,
+:meth:`~GrayImage.get`, :meth:`~GrayImage.iter_pixels`) hand out plain
+Python integers: the reference engine is integer-exact, and fixed-width
+numpy scalars would wrap where its arithmetic must not.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
 from repro.exceptions import ImageFormatError
 
-__all__ = ["GrayImage"]
+__all__ = ["GrayImage", "raw_sample_dtype"]
+
+
+def raw_sample_dtype(bit_depth: int) -> np.dtype:
+    """The raw (Netpbm) sample type: one byte up to 8 bits, big-endian 16-bit above."""
+    return np.dtype("u1" if bit_depth <= 8 else ">u2")
 
 
 class GrayImage:
@@ -27,7 +34,9 @@ class GrayImage:
     width, height:
         Image dimensions in pixels; both must be positive.
     pixels:
-        Row-major sequence of ``width * height`` integer samples.
+        ``width * height`` integer samples in row-major order: a sequence or
+        an integer array of any shape.  They are copied; float, string and
+        object samples are rejected (:meth:`from_array` rounds floats).
     bit_depth:
         Bits per sample (1-16).  All samples must lie in
         ``[0, 2**bit_depth - 1]``.
@@ -35,13 +44,13 @@ class GrayImage:
         Optional label used in reports (e.g. the corpus image name).
     """
 
-    __slots__ = ("_width", "_height", "_pixels", "_bit_depth", "_name")
+    __slots__ = ("_width", "_height", "_array", "_bit_depth", "_name")
 
     def __init__(
         self,
         width: int,
         height: int,
-        pixels: Sequence[int],
+        pixels: Union[Sequence[int], np.ndarray],
         bit_depth: int = 8,
         name: str = "",
     ) -> None:
@@ -51,22 +60,29 @@ class GrayImage:
             )
         if not 1 <= bit_depth <= 16:
             raise ImageFormatError("bit_depth must be in [1, 16], got %d" % bit_depth)
-        pixel_list = [int(p) for p in pixels]
-        if len(pixel_list) != width * height:
+        samples = np.asarray(pixels)
+        if samples.dtype.kind not in "biu":
+            raise ImageFormatError(
+                "pixel samples must be integers, got dtype %s" % samples.dtype
+            )
+        if samples.size != width * height:
             raise ImageFormatError(
                 "expected %d pixels for %dx%d image, got %d"
-                % (width * height, width, height, len(pixel_list))
+                % (width * height, width, height, samples.size)
             )
         max_value = (1 << bit_depth) - 1
-        for value in pixel_list:
-            if not 0 <= value <= max_value:
-                raise ImageFormatError(
-                    "pixel value %d outside [0, %d] for bit depth %d"
-                    % (value, max_value, bit_depth)
-                )
+        low, high = int(samples.min()), int(samples.max())
+        if low < 0 or high > max_value:
+            raise ImageFormatError(
+                "pixel value %d outside [0, %d] for bit depth %d"
+                % (low if low < 0 else high, max_value, bit_depth)
+            )
+        array = samples.astype(np.uint8 if bit_depth <= 8 else np.uint16)
+        array = array.reshape(height, width)
+        array.flags.writeable = False
         self._width = width
         self._height = height
-        self._pixels = pixel_list
+        self._array = array
         self._bit_depth = bit_depth
         self._name = name
 
@@ -76,7 +92,7 @@ class GrayImage:
 
     @classmethod
     def from_array(cls, array: np.ndarray, bit_depth: int = 8, name: str = "") -> "GrayImage":
-        """Build an image from a 2-D numpy array (values are clipped)."""
+        """Build an image from a 2-D numpy array (values are rounded and clipped)."""
         if array.ndim != 2:
             raise ImageFormatError(
                 "expected a 2-D array, got %d dimensions" % array.ndim
@@ -84,7 +100,7 @@ class GrayImage:
         max_value = (1 << bit_depth) - 1
         clipped = np.clip(np.rint(array), 0, max_value).astype(np.int64)
         height, width = clipped.shape
-        return cls(width, height, clipped.reshape(-1).tolist(), bit_depth, name)
+        return cls(width, height, clipped, bit_depth, name)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], bit_depth: int = 8, name: str = "") -> "GrayImage":
@@ -92,17 +108,15 @@ class GrayImage:
         if not rows:
             raise ImageFormatError("cannot build an image from zero rows")
         width = len(rows[0])
-        flat: List[int] = []
-        for row in rows:
-            if len(row) != width:
-                raise ImageFormatError("rows have inconsistent lengths")
-            flat.extend(int(v) for v in row)
-        return cls(width, len(rows), flat, bit_depth, name)
+        if any(len(row) != width for row in rows):
+            raise ImageFormatError("rows have inconsistent lengths")
+        return cls(width, len(rows), np.asarray(rows), bit_depth, name)
 
     @classmethod
     def constant(cls, width: int, height: int, value: int, bit_depth: int = 8, name: str = "") -> "GrayImage":
         """Build an image filled with a single value."""
-        return cls(width, height, [value] * (width * height), bit_depth, name)
+        # Clamped so that bad dimensions reach the constructor's own check.
+        return cls(width, height, np.full(max(width * height, 0), value), bit_depth, name)
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -140,40 +154,33 @@ class GrayImage:
                 "pixel (%d, %d) outside %dx%d image"
                 % (x, y, self._width, self._height)
             )
-        return self._pixels[y * self._width + x]
+        return int(self._array[y, x])
 
     def row(self, y: int) -> List[int]:
         """Return row ``y`` as a list."""
         if not 0 <= y < self._height:
             raise ImageFormatError("row %d outside image of height %d" % (y, self._height))
-        start = y * self._width
-        return self._pixels[start : start + self._width]
+        return self._array[y].tolist()
 
     def pixels(self) -> List[int]:
         """Return a copy of the row-major pixel list."""
-        return list(self._pixels)
+        return self._array.reshape(-1).tolist()
 
     def iter_pixels(self) -> Iterable[int]:
-        """Iterate over pixels in raster order without copying."""
-        return iter(self._pixels)
+        """Iterate over pixels in raster order."""
+        return iter(self.pixels())
 
     def to_array(self) -> np.ndarray:
         """Return the image as a 2-D numpy array of int64."""
-        return np.array(self._pixels, dtype=np.int64).reshape(self._height, self._width)
+        return self._array.astype(np.int64)
 
     def to_bytes(self) -> bytes:
         """Serialise the raw samples (big-endian 16-bit when depth > 8)."""
-        if self._bit_depth <= 8:
-            return bytes(self._pixels)
-        out = bytearray()
-        for value in self._pixels:
-            out.append(value >> 8)
-            out.append(value & 0xFF)
-        return bytes(out)
+        return self._array.astype(raw_sample_dtype(self._bit_depth)).tobytes()
 
     def with_name(self, name: str) -> "GrayImage":
         """Return a copy of this image carrying a different label."""
-        return GrayImage(self._width, self._height, self._pixels, self._bit_depth, name)
+        return GrayImage(self._width, self._height, self._array, self._bit_depth, name)
 
     # ------------------------------------------------------------------ #
     # dunder methods
@@ -186,11 +193,11 @@ class GrayImage:
             self._width == other._width
             and self._height == other._height
             and self._bit_depth == other._bit_depth
-            and self._pixels == other._pixels
+            and np.array_equal(self._array, other._array)
         )
 
     def __hash__(self) -> int:
-        return hash((self._width, self._height, self._bit_depth, tuple(self._pixels)))
+        return hash((self._width, self._height, self._bit_depth, self._array.tobytes()))
 
     def __repr__(self) -> str:
         label = " %r" % self._name if self._name else ""

@@ -92,12 +92,7 @@ def compression_ratio(compressed: bytes, image: GrayImage) -> float:
 
 def images_identical(first: GrayImage, second: GrayImage) -> bool:
     """True when both images have identical geometry, depth and samples."""
-    return (
-        first.width == second.width
-        and first.height == second.height
-        and first.bit_depth == second.bit_depth
-        and first.pixels() == second.pixels()
-    )
+    return first == second
 
 
 def mean_absolute_error(first: GrayImage, second: GrayImage) -> float:

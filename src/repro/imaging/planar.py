@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ImageFormatError
-from repro.imaging.image import GrayImage
+from repro.imaging.image import GrayImage, raw_sample_dtype
 
 __all__ = ["PlanarImage", "MAX_PLANES", "RGB_PLANE_NAMES", "default_plane_names"]
 
@@ -203,6 +203,10 @@ class PlanarImage:
     def interleaved_samples(self) -> List[int]:
         """Return samples in pixel-interleaved order (r g b r g b ...)."""
         return self.to_array().reshape(-1).tolist()
+
+    def to_bytes(self) -> bytes:
+        """Serialise the pixel-interleaved raw samples (big-endian 16-bit when depth > 8)."""
+        return self.to_array().astype(raw_sample_dtype(self.bit_depth)).tobytes()
 
     def gray(self) -> GrayImage:
         """Unwrap a single-plane image back to :class:`GrayImage`."""

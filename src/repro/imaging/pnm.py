@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import BinaryIO, List, Tuple, Union
+from typing import BinaryIO, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.exceptions import ImageFormatError
-from repro.imaging.image import GrayImage
+from repro.imaging.image import GrayImage, raw_sample_dtype
 from repro.imaging.planar import MAX_PLANES, PlanarImage, default_plane_names
 
 __all__ = [
@@ -35,15 +37,34 @@ __all__ = [
     "write_pam",
     "read_image",
     "write_image",
+    "netpbm_bytes",
     "netpbm_region_header",
     "split_netpbm_payload",
 ]
 
 _PathOrFile = Union[str, Path, BinaryIO]
+_Image = Union[GrayImage, PlanarImage]
 
+# (ASCII, binary) magic pairs, so ``magics[binary]`` picks the variant.
 _GRAY_MAGICS = (b"P2", b"P5")
 _RGB_MAGICS = (b"P3", b"P6")
 _PAM_MAGIC = b"P7"
+
+_PAM_TUPLTYPES = {1: "GRAYSCALE", 3: "RGB"}
+
+
+def _decimals(tokens: Sequence[bytes], what: str) -> List[int]:
+    """Parse Netpbm numbers: every token must be unsigned ASCII decimal digits.
+
+    ``int`` alone also takes signs and digit-group underscores (``+7``,
+    ``1_0``), which no Netpbm writer emits; such bytes are malformed input.
+    """
+    try:
+        if b"".join(tokens).isdigit():
+            return [int(token) for token in tokens]
+    except ValueError:  # an empty field, or more digits than ``int`` converts
+        pass
+    raise ImageFormatError("non-numeric %s in %r" % (what, b" ".join(tokens)[:40]))
 
 
 def _tokenise_header(stream: BinaryIO, magics: Tuple[bytes, ...]) -> Tuple[bytes, int, int, int]:
@@ -75,10 +96,7 @@ def _tokenise_header(stream: BinaryIO, magics: Tuple[bytes, ...]) -> Tuple[bytes
                 break
             token.extend(char)
         tokens.append(bytes(token))
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise ImageFormatError("non-numeric header field: %r" % tokens) from exc
+    width, height, maxval = _decimals(tokens, "header field")
     return magic, width, height, maxval
 
 
@@ -91,64 +109,94 @@ def _check_geometry(kind: str, width: int, height: int, maxval: int) -> int:
     return max(1, maxval.bit_length())
 
 
-def _read_binary_samples(stream: BinaryIO, count: int, maxval: int, kind: str) -> List[int]:
-    """Read ``count`` binary samples (1 or 2 bytes each, per ``maxval``)."""
-    if maxval <= 255:
-        raw = stream.read(count)
-        if len(raw) != count:
+def _read_samples(
+    stream: BinaryIO, count: int, maxval: int, kind: str, binary: bool
+) -> np.ndarray:
+    """Read ``count`` samples (raw bytes or ASCII decimals), checked against ``maxval``."""
+    if binary:
+        dtype = raw_sample_dtype(maxval.bit_length())
+        raw = stream.read(count * dtype.itemsize)
+        if len(raw) != count * dtype.itemsize:
             raise ImageFormatError(
-                "truncated %s payload: expected %d bytes, got %d" % (kind, count, len(raw))
+                "truncated %s payload: expected %d bytes, got %d"
+                % (kind, count * dtype.itemsize, len(raw))
             )
-        return list(raw)
-    raw = stream.read(2 * count)
-    if len(raw) != 2 * count:
-        raise ImageFormatError(
-            "truncated 16-bit %s payload: expected %d bytes, got %d"
-            % (kind, 2 * count, len(raw))
-        )
-    return [(raw[2 * i] << 8) | raw[2 * i + 1] for i in range(count)]
-
-
-def _read_ascii_samples(stream: BinaryIO, count: int, kind: str) -> List[int]:
-    """Read ``count`` whitespace-separated ASCII samples."""
-    text = stream.read().decode("ascii", errors="strict")
-    values = text.split()
-    if len(values) < count:
-        raise ImageFormatError(
-            "truncated ASCII %s: expected %d samples, got %d" % (kind, count, len(values))
-        )
-    try:
-        return [int(v) for v in values[:count]]
-    except ValueError as exc:
-        raise ImageFormatError("non-numeric sample in ASCII %s" % kind) from exc
-
-
-def _check_sample_range(samples: List[int], maxval: int, kind: str) -> None:
-    for value in samples:
-        if value > maxval:
-            raise ImageFormatError("sample %d exceeds %s maxval %d" % (value, kind, maxval))
-
-
-def _write_binary_samples(destination: BinaryIO, samples: List[int], maxval: int) -> None:
-    if maxval <= 255:
-        destination.write(bytes(samples))
-        return
-    out = bytearray()
-    for value in samples:
-        out.append(value >> 8)
-        out.append(value & 0xFF)
-    destination.write(bytes(out))
+        samples = np.frombuffer(raw, dtype)
+    else:
+        tokens = stream.read().split()
+        if len(tokens) < count:
+            raise ImageFormatError(
+                "truncated ASCII %s: expected %d samples, got %d" % (kind, count, len(tokens))
+            )
+        samples = np.array(_decimals(tokens[:count], "ASCII %s sample" % kind))
+    peak = samples.max()
+    if peak > maxval:
+        raise ImageFormatError("sample %d exceeds %s maxval %d" % (peak, kind, maxval))
+    return samples
 
 
 def _deinterleave(
-    samples: List[int], width: int, height: int, depth: int, bit_depth: int, name: str
+    samples: np.ndarray, width: int, height: int, depth: int, bit_depth: int
 ) -> PlanarImage:
     """Split pixel-interleaved samples into a planar image."""
-    planes = [
-        GrayImage(width, height, samples[k :: depth], bit_depth, label)
-        for k, label in zip(range(depth), default_plane_names(depth))
-    ]
-    return PlanarImage(planes, name=name)
+    pixels = samples.reshape(height, width, depth)
+    return PlanarImage(
+        GrayImage(width, height, pixels[:, :, k], bit_depth, label)
+        for k, label in enumerate(default_plane_names(depth))
+    )
+
+
+def _read_plain(source: BinaryIO, magics: Tuple[bytes, bytes], kind: str, depth: int) -> PlanarImage:
+    """Read a PGM or PPM body: the magic-width-height-maxval header, then samples."""
+    magic, width, height, maxval = _tokenise_header(source, magics)
+    bit_depth = _check_geometry(kind, width, height, maxval)
+    samples = _read_samples(source, width * height * depth, maxval, kind, magic == magics[1])
+    return _deinterleave(samples, width, height, depth, bit_depth)
+
+
+def _header(kind: str, width: int, height: int, planes: int, maxval: int, binary: bool = True) -> bytes:
+    """Format the Netpbm header every writer emits (never with comments)."""
+    if kind == "pam":
+        lines = ["P7", "WIDTH %d" % width, "HEIGHT %d" % height, "DEPTH %d" % planes,
+                 "MAXVAL %d" % maxval]
+        tupltype = _PAM_TUPLTYPES.get(planes)
+        if tupltype:
+            lines.append("TUPLTYPE %s" % tupltype)
+        lines.append("ENDHDR")
+    else:
+        magic = (_GRAY_MAGICS if kind == "pgm" else _RGB_MAGICS)[binary].decode()
+        lines = [magic, "%d %d" % (width, height), "%d" % maxval]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _kind_for(planes: int) -> str:
+    """The format :func:`write_image` picks for ``planes`` components."""
+    return {1: "pgm", 3: "ppm"}.get(planes, "pam")
+
+
+def _write(data: bytes, destination: _PathOrFile) -> None:
+    if isinstance(destination, (str, Path)):
+        with open(destination, "wb") as handle:
+            handle.write(data)
+    else:
+        destination.write(data)
+
+
+def netpbm_bytes(image: _Image, binary: bool = True, pam: bool = False) -> Tuple[bytes, str]:
+    """Serialise ``image`` as a whole Netpbm file; return ``(file_bytes, kind)``.
+
+    The format follows the plane count as in :func:`write_image` (``kind``
+    is ``"pgm"``, ``"ppm"`` or ``"pam"``); ``pam=True`` forces PAM, which
+    has no ASCII variant and ignores ``binary``.
+    """
+    planes = image.num_planes if isinstance(image, PlanarImage) else 1
+    kind = "pam" if pam else _kind_for(planes)
+    header = _header(kind, image.width, image.height, planes, image.max_value, binary)
+    if binary or kind == "pam":
+        return header + image.to_bytes(), kind
+    rows = image.to_array().reshape(image.height, -1).tolist()
+    text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    return header + text.encode("ascii"), kind
 
 
 # ---------------------------------------------------------------------- #
@@ -161,36 +209,12 @@ def read_pgm(source: _PathOrFile) -> GrayImage:
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
             return read_pgm(handle)
-
-    magic, width, height, maxval = _tokenise_header(source, _GRAY_MAGICS)
-    bit_depth = _check_geometry("PGM", width, height, maxval)
-    count = width * height
-    if magic == b"P5":
-        pixels = _read_binary_samples(source, count, maxval, "PGM")
-    else:
-        pixels = _read_ascii_samples(source, count, "PGM")
-    _check_sample_range(pixels, maxval, "PGM")
-    return GrayImage(width, height, pixels, bit_depth)
+    return _read_plain(source, _GRAY_MAGICS, "PGM", 1).gray()
 
 
 def write_pgm(image: GrayImage, destination: _PathOrFile, binary: bool = True) -> None:
     """Write ``image`` as a PGM file (P5 when ``binary`` else P2)."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as handle:
-            write_pgm(image, handle, binary=binary)
-        return
-
-    maxval = image.max_value
-    header = "%s\n%d %d\n%d\n" % ("P5" if binary else "P2", image.width, image.height, maxval)
-    destination.write(header.encode("ascii"))
-    if binary:
-        destination.write(image.to_bytes())
-    else:
-        text = io.StringIO()
-        for y in range(image.height):
-            text.write(" ".join(str(v) for v in image.row(y)))
-            text.write("\n")
-        destination.write(text.getvalue().encode("ascii"))
+    _write(netpbm_bytes(image, binary)[0], destination)
 
 
 # ---------------------------------------------------------------------- #
@@ -203,16 +227,7 @@ def read_ppm(source: _PathOrFile) -> PlanarImage:
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
             return read_ppm(handle)
-
-    magic, width, height, maxval = _tokenise_header(source, _RGB_MAGICS)
-    bit_depth = _check_geometry("PPM", width, height, maxval)
-    count = width * height * 3
-    if magic == b"P6":
-        samples = _read_binary_samples(source, count, maxval, "PPM")
-    else:
-        samples = _read_ascii_samples(source, count, "PPM")
-    _check_sample_range(samples, maxval, "PPM")
-    return _deinterleave(samples, width, height, 3, bit_depth, "")
+    return _read_plain(source, _RGB_MAGICS, "PPM", 3)
 
 
 def write_ppm(image: PlanarImage, destination: _PathOrFile, binary: bool = True) -> None:
@@ -222,32 +237,12 @@ def write_ppm(image: PlanarImage, destination: _PathOrFile, binary: bool = True)
             "PPM stores exactly 3 components, image has %d (use write_pam)"
             % image.num_planes
         )
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as handle:
-            write_ppm(image, handle, binary=binary)
-        return
-
-    maxval = image.max_value
-    header = "%s\n%d %d\n%d\n" % ("P6" if binary else "P3", image.width, image.height, maxval)
-    destination.write(header.encode("ascii"))
-    samples = image.interleaved_samples()
-    if binary:
-        _write_binary_samples(destination, samples, maxval)
-    else:
-        text = io.StringIO()
-        per_row = image.width * 3
-        for y in range(image.height):
-            row = samples[y * per_row : (y + 1) * per_row]
-            text.write(" ".join(str(v) for v in row))
-            text.write("\n")
-        destination.write(text.getvalue().encode("ascii"))
+    _write(netpbm_bytes(image, binary)[0], destination)
 
 
 # ---------------------------------------------------------------------- #
 # PAM — arbitrary component count
 # ---------------------------------------------------------------------- #
-
-_PAM_TUPLTYPES = {1: "GRAYSCALE", 3: "RGB"}
 
 
 def read_pam(source: _PathOrFile) -> PlanarImage:
@@ -269,48 +264,30 @@ def read_pam(source: _PathOrFile) -> PlanarImage:
             if char == b"\n":
                 break
             line.extend(char)
-        text = bytes(line).decode("ascii", errors="replace").strip()
-        if not text or text.startswith("#"):
+        text = bytes(line).strip()
+        if not text or text.startswith(b"#"):
             continue
-        if text == "ENDHDR":
+        if text == b"ENDHDR":
             break
         parts = text.split(None, 1)
-        fields[parts[0].upper()] = parts[1] if len(parts) > 1 else ""
-    try:
-        width = int(fields["WIDTH"])
-        height = int(fields["HEIGHT"])
-        depth = int(fields["DEPTH"])
-        maxval = int(fields["MAXVAL"])
-    except KeyError as exc:
-        raise ImageFormatError("PAM header is missing the %s field" % exc) from exc
-    except ValueError as exc:
-        raise ImageFormatError("non-numeric PAM header field") from exc
+        fields[parts[0].upper().decode("ascii", errors="replace")] = (
+            parts[1] if len(parts) > 1 else b""
+        )
+    names = ("WIDTH", "HEIGHT", "DEPTH", "MAXVAL")
+    for name in names:
+        if name not in fields:
+            raise ImageFormatError("PAM header is missing the %s field" % name)
+    width, height, depth, maxval = _decimals([fields[name] for name in names], "PAM header field")
     bit_depth = _check_geometry("PAM", width, height, maxval)
     if not 1 <= depth <= MAX_PLANES:
         raise ImageFormatError("PAM depth must be in [1, %d], got %d" % (MAX_PLANES, depth))
-    samples = _read_binary_samples(source, width * height * depth, maxval, "PAM")
-    _check_sample_range(samples, maxval, "PAM")
-    return _deinterleave(samples, width, height, depth, bit_depth, "")
+    samples = _read_samples(source, width * height * depth, maxval, "PAM", True)
+    return _deinterleave(samples, width, height, depth, bit_depth)
 
 
 def write_pam(image: PlanarImage, destination: _PathOrFile) -> None:
     """Write ``image`` as a binary PAM (P7) file."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as handle:
-            write_pam(image, handle)
-        return
-
-    tupltype = _PAM_TUPLTYPES.get(image.num_planes)
-    header = ["P7"]
-    header.append("WIDTH %d" % image.width)
-    header.append("HEIGHT %d" % image.height)
-    header.append("DEPTH %d" % image.num_planes)
-    header.append("MAXVAL %d" % image.max_value)
-    if tupltype:
-        header.append("TUPLTYPE %s" % tupltype)
-    header.append("ENDHDR")
-    destination.write(("\n".join(header) + "\n").encode("ascii"))
-    _write_binary_samples(destination, image.interleaved_samples(), image.max_value)
+    _write(netpbm_bytes(image, pam=True)[0], destination)
 
 
 # ---------------------------------------------------------------------- #
@@ -335,17 +312,8 @@ def netpbm_region_header(planes: int, width: int, height: int, bit_depth: int) -
     maxval = (1 << bit_depth) - 1
     if not 1 <= maxval <= 65535:
         raise ImageFormatError("invalid region bit depth %d" % bit_depth)
-    if planes == 1:
-        return ("P5\n%d %d\n%d\n" % (width, height, maxval)).encode("ascii"), "pgm"
-    if planes == 3:
-        return ("P6\n%d %d\n%d\n" % (width, height, maxval)).encode("ascii"), "ppm"
-    lines = ["P7", "WIDTH %d" % width, "HEIGHT %d" % height, "DEPTH %d" % planes,
-             "MAXVAL %d" % maxval]
-    tupltype = _PAM_TUPLTYPES.get(planes)
-    if tupltype:
-        lines.append("TUPLTYPE %s" % tupltype)
-    lines.append("ENDHDR")
-    return ("\n".join(lines) + "\n").encode("ascii"), "pam"
+    kind = _kind_for(planes)
+    return _header(kind, width, height, planes, maxval), kind
 
 
 def split_netpbm_payload(payload: bytes) -> Tuple[bytes, bytes]:
@@ -424,17 +392,5 @@ def write_image(
     to PPM and any other component count to PAM.  Paths ending in ``.pam``
     always get a PAM file, whatever the plane count.
     """
-    if isinstance(destination, (str, Path)) and str(destination).lower().endswith(".pam"):
-        if isinstance(image, GrayImage):
-            image = PlanarImage.from_gray(image)
-        write_pam(image, destination)
-        return
-    if isinstance(image, GrayImage):
-        write_pgm(image, destination, binary=binary)
-        return
-    if image.num_planes == 1:
-        write_pgm(image.gray(), destination, binary=binary)
-    elif image.num_planes == 3:
-        write_ppm(image, destination, binary=binary)
-    else:
-        write_pam(image, destination)
+    pam = isinstance(destination, (str, Path)) and str(destination).lower().endswith(".pam")
+    _write(netpbm_bytes(image, binary, pam)[0], destination)

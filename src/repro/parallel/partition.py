@@ -87,6 +87,6 @@ def extract_stripe(image: GrayImage, spec: StripeSpec) -> GrayImage:
             "stripe rows [%d, %d) outside image of height %d"
             % (spec.start_row, spec.stop_row, image.height)
         )
-    rows = [image.row(y) for y in range(spec.start_row, spec.stop_row)]
     name = "%s-stripe%d" % (image.name, spec.index) if image.name else ""
-    return GrayImage.from_rows(rows, bit_depth=image.bit_depth, name=name)
+    rows = image.to_array()[spec.start_row : spec.stop_row]
+    return GrayImage(image.width, spec.row_count, rows, image.bit_depth, name)

@@ -119,12 +119,10 @@ from repro.exceptions import (
 from repro.imaging.image import GrayImage
 from repro.imaging.planar import PlanarImage
 from repro.imaging.pnm import (
+    netpbm_bytes,
     netpbm_region_header,
     read_image,
     split_netpbm_payload,
-    write_pam,
-    write_pgm,
-    write_ppm,
 )
 from repro.serve.admission import (
     DEFAULT_MAX_INFLIGHT,
@@ -202,21 +200,8 @@ def _consume_outcome(future: "asyncio.Future[object]") -> None:
 
 def image_to_netpbm(image: Union[GrayImage, PlanarImage]) -> Tuple[bytes, str]:
     """Serialise a decoded image to the natural Netpbm format + MIME type."""
-    buffer = io.BytesIO()
-    if isinstance(image, PlanarImage):
-        if image.num_planes == 1:
-            write_pgm(image.gray(), buffer)
-            kind = "pgm"
-        elif image.num_planes == 3:
-            write_ppm(image, buffer)
-            kind = "ppm"
-        else:
-            write_pam(image, buffer)
-            kind = "pam"
-    else:
-        write_pgm(image, buffer)
-        kind = "pgm"
-    return buffer.getvalue(), _CONTENT_TYPES[kind]
+    payload, kind = netpbm_bytes(image)
+    return payload, _CONTENT_TYPES[kind]
 
 
 class StreamingBody:

@@ -8,6 +8,7 @@ of the stream rather than decoding and discarding it.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.core.cellgrid as cellgrid
@@ -34,6 +35,7 @@ from repro.exceptions import (
     ConfigError,
     HeaderError,
 )
+from repro.imaging.image import GrayImage
 from repro.imaging.planar import PlanarImage
 from repro.imaging.synthetic import generate_image, generate_planar_image
 from repro.parallel.codec import ParallelCodec
@@ -60,6 +62,16 @@ class TestRoundtrip:
     def test_multiband(self, multiband_image):
         stream = encode_planar(multiband_image, stripes=2, plane_delta=True)
         assert decode_planar(stream) == multiband_image
+
+    def test_sixteen_bit_planes_with_negative_deltas(self):
+        # Each plane minus the one before is negative at most pixels, so the
+        # delta only round-trips through its modular wrap, not the uint16 store.
+        ramp = np.arange(24).reshape(4, 6) * 2000
+        planes = [65535 - ramp, ramp, 65535 - ramp // 2]
+        image = PlanarImage([GrayImage.from_array(p, bit_depth=16) for p in planes])
+        config = CodecConfig.hardware(bit_depth=16, count_bits=10)
+        stream = encode_planar(image, config, engine="fast", plane_delta=True)
+        assert decode_planar(stream, config, engine="fast") == image
 
     def test_single_plane_planar(self):
         image = PlanarImage([generate_image("zelda", size=18)])

@@ -26,6 +26,13 @@ class TestConstruction:
         with pytest.raises(ImageFormatError):
             GrayImage(1, 1, [-1])
 
+    @pytest.mark.parametrize(
+        "samples", [[3.7], ["7"], [None], np.array([2.0]), np.array(["7"])]
+    )
+    def test_non_integral_samples_rejected(self, samples):
+        with pytest.raises(ImageFormatError):
+            GrayImage(1, 1, samples)
+
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ImageFormatError):
             GrayImage(0, 5, [])
@@ -97,6 +104,22 @@ class TestAccessors:
     def test_to_bytes_16bit_big_endian(self):
         image = GrayImage(1, 1, [0x0102], bit_depth=16)
         assert image.to_bytes() == bytes([0x01, 0x02])
+
+    @pytest.mark.parametrize("bit_depth", [1, 8, 16])
+    def test_views_are_python_ints(self, bit_depth):
+        top = (1 << bit_depth) - 1
+        image = GrayImage(2, 1, [0, top], bit_depth=bit_depth)
+        views = [image.get(1, 0), *image.row(0), *image.pixels(), *image.iter_pixels()]
+        assert all(type(value) is int for value in views)
+        # Fixed-width scalars would wrap here; the reference engine relies on it not.
+        assert image.get(1, 0) + 1 == top + 1
+        assert image.to_array().dtype == np.int64
+
+    def test_construction_copies_its_input(self):
+        samples = np.array([[1, 2], [3, 4]])
+        image = GrayImage(2, 2, samples)
+        samples[0, 0] = 99
+        assert image.get(0, 0) == 1
 
     def test_pixels_returns_copy(self):
         image = GrayImage.constant(2, 2, 5)

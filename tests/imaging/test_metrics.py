@@ -71,6 +71,8 @@ class TestComparisons:
         b = GrayImage.constant(4, 4, 8)
         assert not images_identical(a, b)
         assert mean_absolute_error(a, b) == 1.0
+        black, white = GrayImage.constant(4, 4, 0), GrayImage.constant(4, 4, 255)
+        assert mean_absolute_error(black, white) == mean_absolute_error(white, black) == 255.0
 
     def test_mismatched_geometry_rejected(self):
         with pytest.raises(ImageFormatError):

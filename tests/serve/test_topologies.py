@@ -139,6 +139,7 @@ class TestEndpointsBothTopologies:
             ("GET", "/images/k/plane/xyz", b"", 400, "bad_request"),
             ("GET", "/images/k/region/zz", b"", 400, "bad_request"),
             ("PUT", "/images", b"", 400, "bad_request"),
+            ("PUT", "/images", b"P5\n1_0 1\n255\n" + bytes(10), 400, "bad_request"),
             ("DELETE", "/images/%s?ttl=nan" % ("0" * 64), b"", 400, "bad_request"),
             ("DELETE", "/images/%s?ttl=inf" % ("0" * 64), b"", 400, "bad_request"),
         ]
